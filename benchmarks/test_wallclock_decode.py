@@ -2,25 +2,23 @@
 
 The paper's bottleneck stage, measured for real: the paper workload
 (512x512 RGB in 128x128 tiles, Table 1's "16 tiles with 3 components")
-is decoded five ways —
+is decoded three ways —
 
 * ``reference-sequential`` — the readable ``t1``/``mq`` specification
-  kernel, one block after another (the seed decode path);
-* ``fast-sequential`` — the optimised ``t1_fast`` kernel, still one
-  process, one block at a time;
-* ``batched-sequential`` — the chunk-at-a-time ``t1_fast`` entry point
-  (one set of closures and scratch buffers for the whole workload);
-* ``parallel-shm-4`` — 4 workers over the zero-copy shared-memory
-  arenas with size-aware code-block scheduling;
-* ``parallel-pickle-4`` — 4 workers over the legacy pickle transport
-  (the IPC-tax baseline the shared-memory path exists to beat).
+  kernel and Tier-2 reader, one block after another (the seed decode
+  path);
+* ``batched-sequential`` — the refined chunk-at-a-time ``t1_fast``
+  kernel (one set of closures and scratch buffers for the whole
+  workload), one process;
+* ``parallel-4`` — 4 requested workers (clamped to the host's CPUs)
+  decoding size-aware chunks through the batched kernel.
 
 All modes must produce byte-identical images and identical op counts.
 Each timed decode runs in a **fresh subprocess** (interleaved rounds,
 best-of-N), because in-process back-to-back decodes let heap growth and
 allocator state from earlier runs leak into later measurements.  The
 timings, speedups, and each variant's scheduling metadata (requested vs
-effective workers, granularity, degraded flag) are persisted to
+effective workers, kernel, degraded flag) are persisted to
 ``BENCH_decode.json`` at the repository root as the performance
 trajectory for future PRs — on a 1-CPU host the "parallel" rows are
 honestly recorded as degraded sequential runs instead of silently
@@ -54,8 +52,8 @@ BENCH_FILE = REPO_ROOT / "BENCH_decode.json"
 SIZE = 512
 TILE = 128
 
-#: Seed decoder wall clock on this workload, measured at commit 4d1e732
-#: (before the fast kernel / parallel path existed).  Fixed trajectory
+#: Seed decoder wall clock on this workload, measured before any
+#: optimised kernel or parallel path existed.  Fixed trajectory
 #: anchor — do not update when the code gets faster.
 SEED_SECONDS = {"lossless": 17.906, "lossy": 15.487}
 
@@ -66,10 +64,8 @@ SEED_SECONDS = {"lossless": 17.906, "lossy": 15.487}
 #: readable decoder, not a half-optimised hybrid.
 MODES = {
     "reference-sequential": {"kernel": "reference", "tier2": "reference"},
-    "fast-sequential": {},
     "batched-sequential": {"kernel": "batched"},
-    "parallel-shm-4": {"workers": 4, "chunk_size": 8},
-    "parallel-pickle-4": {"workers": 4, "chunk_size": 8, "shared_memory": False},
+    "parallel-4": {"workers": 4, "chunk_size": 8},
 }
 
 #: Batched-sequential wall clock recorded by the Amdahl-cleanup PR's
@@ -226,7 +222,7 @@ def test_wallclock_16_tile_decode(emit):
             os.unlink(codestream_path)
         for schedule, seconds in best.items():
             bench.record(mode_name, schedule, seconds)
-        # Every transport and kernel must be byte-identical to the
+        # Every schedule and kernel must be byte-identical to the
         # reference, and the modelled op counts must not depend on
         # kernel or scheduling.
         for schedule in MODES:
@@ -250,20 +246,18 @@ def test_wallclock_16_tile_decode(emit):
     emit(table, "wallclock_decode")
     payload = bench.write(BENCH_FILE, byte_identical=True, op_counts_identical=True)
 
-    # Acceptance gates: the optimised kernel alone buys >= 1.3x against
-    # the seed sequential decode, the batched kernel does not lose to
-    # per-block fast and holds the Amdahl-cleanup win over its
-    # predecessor within the sentinel noise band.  Speedup gates on degraded
-    # schedules are skipped — the row is recorded and flagged, because a
-    # clamped 1-worker "parallel" run proves nothing either way.
+    # Acceptance gates: the batched kernel alone buys >= 1.3x against
+    # the seed sequential decode and holds the Amdahl-cleanup win over
+    # its predecessor within the sentinel noise band; on a host with at
+    # least 4 CPUs the pool beats the same kernel run in-process by
+    # >= 1.5x.  Speedup gates on
+    # degraded schedules are skipped — the row is recorded and flagged,
+    # because a clamped 1-worker "parallel" run proves nothing either
+    # way.
     for mode_name in ("lossless", "lossy"):
         entry = payload["modes"][mode_name]
-        assert entry["speedup_vs_seed"]["fast-sequential"] >= 1.3
         assert entry["speedup_vs_seed"]["batched-sequential"] >= 1.3
         seconds = entry["seconds"]
-        assert seconds["batched-sequential"] <= seconds["fast-sequential"], (
-            "batched kernel must not lose to per-block fast kernel"
-        )
         assert (
             seconds["batched-sequential"]
             <= PREV_BATCHED_SECONDS[mode_name] / PREV_GATE[mode_name]
@@ -278,16 +272,13 @@ def test_wallclock_16_tile_decode(emit):
         assert set(shares) <= {
             "t2_parse", "t1_decode", "idwt", "dequant_mct", "gather",
         }
-        if not bench.degraded("parallel-shm-4"):
-            assert entry["speedup_vs_seed"]["parallel-shm-4"] >= 2.0
+        if not bench.degraded("parallel-4"):
+            assert entry["speedup_vs_seed"]["parallel-4"] >= 2.0
             if (os.cpu_count() or 1) >= 4:
                 assert (
-                    seconds["fast-sequential"] / seconds["parallel-shm-4"]
+                    seconds["batched-sequential"] / seconds["parallel-4"]
                     >= 1.5
-                ), "shared-memory parallel decode under 1.5x on a multi-core host"
-    assert payload["schedules"]["parallel-shm-4"]["granularity"] in (
-        "codeblock/size-aware", "codeblock/sequential",
-    )
+                ), "parallel decode under 1.5x on a multi-core host"
     # Every recorded row is labelled by the compiled plan that ran it.
     for schedule in MODES:
         plan_record = payload["plans"][schedule]

@@ -381,8 +381,8 @@ def _cmd_plan(args) -> int:
 
     Byte-deterministic output (the human-readable table, then the
     canonical JSON the digest hashes), so transcripts can be diffed and
-    CI can pin them.  ``--cpus`` / ``--assume-no-shm`` override the
-    detected environment to answer "what would this host compile?".
+    CI can pin them.  ``--cpus`` overrides the detected CPU count to
+    answer "what would this host compile?".
     """
     from .jpeg2000.options import DecodeOptions
     from .jpeg2000.plan import PlanEnvironment, compile_plan, validate_plan
@@ -391,21 +391,16 @@ def _cmd_plan(args) -> int:
         workers=args.workers,
         chunk_size=args.chunk_size,
         kernel=args.kernel,
-        shared_memory=not args.no_shared_memory,
         start_method=args.start_method,
         oversubscribe=args.oversubscribe,
         tier2=args.tier2,
-        overlap=not args.no_overlap,
     )
-    detected = PlanEnvironment.detect()
-    env = PlanEnvironment(
-        cpu_count=args.cpus if args.cpus is not None else detected.cpu_count,
-        shared_memory_available=(
-            False if args.assume_no_shm else detected.shared_memory_available
-        ),
+    env = (
+        PlanEnvironment(cpu_count=args.cpus) if args.cpus is not None
+        else PlanEnvironment.detect()
     )
     plan = compile_plan(options, env)
-    issues = validate_plan(plan, env)
+    issues = validate_plan(plan)
     if issues:  # compilation is total; this guards future planner drift
         for issue in issues:
             print(f"[{issue.rule}] {issue.path}: {issue}", file=sys.stderr)
@@ -414,10 +409,7 @@ def _cmd_plan(args) -> int:
         "plan", "decode",
         plan_hash=plan.digest(),
         options=options.as_dict(),
-        environment={
-            "cpu_count": env.cpu_count,
-            "shared_memory_available": env.shared_memory_available,
-        },
+        environment={"cpu_count": env.cpu_count},
     )
     if args.json:
         print(plan.canonical_json())
@@ -860,6 +852,7 @@ def main(argv=None) -> int:
     p_loc.set_defaults(func=_cmd_loc)
 
     from .design import catalog
+    from .jpeg2000.options import KERNEL_BATCHED, KERNEL_REFERENCE
 
     version_names = catalog.names()
 
@@ -898,9 +891,10 @@ def main(argv=None) -> int:
     p_prof.add_argument("--size", type=int, default=512,
                         help="decode profiling: square workload size "
                         "(default 512, the paper's 16-tile workload)")
-    p_prof.add_argument("--kernel", default="batched",
-                        choices=["fast", "batched", "reference"],
-                        help="decode profiling: Tier-1 kernel")
+    p_prof.add_argument("--kernel", default=KERNEL_BATCHED,
+                        choices=[KERNEL_BATCHED, KERNEL_REFERENCE],
+                        help="decode profiling: Tier-1 kernel "
+                        f"(default {KERNEL_BATCHED})")
     p_prof.add_argument("--workers", type=int, default=0,
                         help="decode profiling: worker processes "
                         "(0 = sequential)")
@@ -922,27 +916,20 @@ def main(argv=None) -> int:
                         "'auto' = one per CPU (default 0)")
     p_plan.add_argument("--chunk-size", type=int, default=8,
                         help="max code blocks per work unit (default 8)")
-    p_plan.add_argument("--kernel", default="fast",
-                        choices=["fast", "batched", "reference"],
-                        help="Tier-1 kernel (default fast)")
+    p_plan.add_argument("--kernel", default=KERNEL_BATCHED,
+                        choices=[KERNEL_BATCHED, KERNEL_REFERENCE],
+                        help=f"Tier-1 kernel (default {KERNEL_BATCHED})")
     p_plan.add_argument("--tier2", default="fast",
                         choices=["fast", "reference"],
                         help="Tier-2 parser (default fast)")
     p_plan.add_argument("--start-method", default=None,
                         choices=["fork", "spawn", "forkserver"],
                         help="pool start method (default: platform)")
-    p_plan.add_argument("--no-shared-memory", action="store_true",
-                        help="forbid the zero-copy arena transport")
-    p_plan.add_argument("--no-overlap", action="store_true",
-                        help="disable the streaming (overlapped) schedule")
     p_plan.add_argument("--oversubscribe", action="store_true",
                         help="allow more workers than CPUs")
     p_plan.add_argument("--cpus", type=int, default=None,
                         help="plan for a host with N CPUs "
                         "(default: detect)")
-    p_plan.add_argument("--assume-no-shm", action="store_true",
-                        help="plan for a host without "
-                        "multiprocessing.shared_memory")
     p_plan.add_argument("--json", action="store_true",
                         help="print only the canonical plan JSON")
     p_plan.set_defaults(func=_cmd_plan)

@@ -2,7 +2,7 @@
 
 This is the *only* place experiment work is performed — the runner calls
 it in-process or ships it to a worker process (requests and payloads are
-small picklable plain data, mirroring ``jpeg2000/parallel.py``).
+small picklable plain data, mirroring ``jpeg2000/stages/entropy.py``).
 
 Every ablation tweak the benchmarks used to apply by hand (module-global
 rebinding, post-construction pokes, bus-swap subclasses) is expressed

@@ -2,16 +2,16 @@
 
 :class:`DecodeOptions` is the *request* side of the decode stack: a
 frozen, canonically-serialisable record of how the caller wants the
-entropy stage scheduled (workers, chunking, kernel, transport, start
-method, overlap).  The planner (:mod:`repro.jpeg2000.plan`) compiles it
+entropy stage scheduled (workers, chunking, kernel, start method,
+Tier-2 parser).  The planner (:mod:`repro.jpeg2000.plan`) compiles it
 — together with the host environment — into an explicit
 :class:`~repro.jpeg2000.plan.DecodePlan`; nothing below the planner
 reads :class:`DecodeOptions` directly.
 
 :class:`BlockSpec` is the parse→entropy interface: one code block's
 geometry plus the ``(start, end)`` codeword segment spans into its tile
-buffer, small enough to pickle by the thousand and precise enough to
-resolve zero-copy inside a shared-memory arena.
+buffer, small enough to keep by the thousand while Tier-2 walks the
+image, resolved to codeword bytes only when the entropy stage runs.
 
 This module is the import root of the decode stack (no dependencies on
 the stages, the planner, or the driver), so every layer can share the
@@ -27,16 +27,11 @@ from typing import Optional
 
 from .. import telemetry
 
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover - exotic builds without _posixshmem
-    shared_memory = None
-
-#: Kernel names accepted by :class:`DecodeOptions`.
-KERNEL_FAST = "fast"
-KERNEL_REFERENCE = "reference"
+#: Kernel names accepted by :class:`DecodeOptions`: the refined kernel
+#: and the reference (specification) kernel.
 KERNEL_BATCHED = "batched"
-_KERNELS = (KERNEL_FAST, KERNEL_REFERENCE, KERNEL_BATCHED)
+KERNEL_REFERENCE = "reference"
+_KERNELS = (KERNEL_BATCHED, KERNEL_REFERENCE)
 
 #: Tier-2 parser selection accepted by :class:`DecodeOptions`.
 TIER2_FAST = "fast"
@@ -50,14 +45,6 @@ _START_METHODS = (None, "fork", "spawn", "forkserver")
 #: A picklable per-block decode task:
 #: (data, width, height, orientation, num_bitplanes, num_passes).
 BlockTask = tuple
-
-#: Shared-memory arena name prefix — short enough for macOS's 31-char
-#: shm_open limit, distinctive enough for the leak checks in CI.
-ARENA_PREFIX = "repro-j2k-"
-
-#: Blocks with more bit planes than this cannot be carried in the int32
-#: output arena; such (pathological) streams take the pickle path.
-_MAX_ARENA_BITPLANES = 30
 
 
 class ParallelDegradedWarning(RuntimeWarning):
@@ -106,16 +93,11 @@ class DecodeOptions:
     ``chunk_size``
         Upper bound on blocks per unit of work shipped to a worker;
         larger chunks amortise per-chunk overhead, smaller chunks
-        balance better.  The shared-memory scheduler plans size-aware
-        chunks up to this bound.
+        balance better.  The pool plans size-aware chunks up to this
+        bound.
     ``kernel``
-        ``"fast"`` (the optimised ``t1_fast`` kernel, default),
-        ``"batched"`` (the chunk-at-a-time ``t1_fast`` entry point —
-        what shared-memory workers always run), or ``"reference"``
-        (the readable ``t1`` specification kernel).
-    ``shared_memory``
-        Allow the zero-copy shared-memory transport (default).  Off, or
-        when arenas cannot be created, the pickle transport is used.
+        ``"batched"`` (the chunk-at-a-time ``t1_fast`` kernel, default)
+        or ``"reference"`` (the readable ``t1`` specification kernel).
     ``start_method``
         Multiprocessing start method for the pool (``None`` = platform
         default; ``"fork"``/``"spawn"``/``"forkserver"``).
@@ -129,23 +111,14 @@ class DecodeOptions:
         ``FastBitReader`` + array-backed tag trees, default) or
         ``"reference"`` (the bit-by-bit specification reader).  Both
         parse bit-for-bit identically.
-    ``overlap``
-        Stream Tier-1 chunks to the workers while later tiles are still
-        being parsed, and finish (gather/DWT/MCT) completed tiles on the
-        main process during the flight (default).  Off serialises the
-        stages: full parse, then fan-out, then reconstruction.  Only
-        affects the parallel shared-memory path; results are identical
-        either way.
     """
 
     workers: Optional[int] = 0
     chunk_size: int = 8
-    kernel: str = KERNEL_FAST
-    shared_memory: bool = True
+    kernel: str = KERNEL_BATCHED
     start_method: Optional[str] = None
     oversubscribe: bool = False
     tier2: str = TIER2_FAST
-    overlap: bool = True
 
     def __post_init__(self):
         if self.workers is not None and self.workers < 0:
@@ -184,15 +157,6 @@ class DecodeOptions:
         """True when a parallel request will actually run sequentially."""
         return self.requested_workers > 1 and not self.parallel
 
-    @property
-    def granularity(self) -> str:
-        """Scheduling granularity label recorded in benchmark payloads."""
-        if not self.parallel:
-            return "codeblock/sequential"
-        if self.shared_memory and shared_memory is not None:
-            return "codeblock/size-aware"
-        return "codeblock/fixed"
-
     def as_dict(self) -> dict:
         """Canonical plain-data form: exactly the dataclass fields.
 
@@ -205,11 +169,9 @@ class DecodeOptions:
             "workers": self.workers,
             "chunk_size": self.chunk_size,
             "kernel": self.kernel,
-            "shared_memory": self.shared_memory,
             "start_method": self.start_method,
             "oversubscribe": self.oversubscribe,
             "tier2": self.tier2,
-            "overlap": self.overlap,
         }
 
     @classmethod
@@ -218,7 +180,7 @@ class DecodeOptions:
         return cls(**data)
 
     def schedule_info(self) -> dict:
-        """The scheduling facts a benchmark row must carry (schema v3)."""
+        """The scheduling facts a benchmark row must carry."""
         return {
             "requested_workers": self.requested_workers,
             "effective_workers": self.effective_workers,
@@ -226,15 +188,12 @@ class DecodeOptions:
             "chunk_size": self.chunk_size,
             "kernel": self.kernel,
             "tier2": self.tier2,
-            "overlap": self.overlap,
-            "granularity": self.granularity,
-            "shared_memory": self.shared_memory,
             "start_method": self.start_method,
             "oversubscribe": self.oversubscribe,
         }
 
 
-#: Default options: sequential, fast kernel.
+#: Default options: sequential, batched kernel.
 DEFAULT_OPTIONS = DecodeOptions()
 
 
@@ -242,10 +201,9 @@ DEFAULT_OPTIONS = DecodeOptions()
 class BlockSpec:
     """One code block's geometry plus its codeword's segment spans.
 
-    The spans point into a *source* buffer (a tile-part's bytes) that is
-    shipped to the workers once, via the shared input arena — the spec
-    itself is a few dozen bytes of picklable metadata, which is the whole
-    point of the zero-copy protocol.
+    The spans point into a *source* buffer (a tile-part's bytes); the
+    spec itself is a few dozen bytes of metadata, and the codeword is
+    joined from the spans only when the block is decoded.
     """
 
     width: int
@@ -271,13 +229,3 @@ class BlockSpec:
             start, end = segments[0]
             return bytes(source[start:end])
         return b"".join(bytes(source[start:end]) for start, end in segments)
-
-    def rebased(self, base: int) -> "BlockSpec":
-        """The same spec with spans shifted by *base* (arena placement)."""
-        if not base:
-            return self
-        return BlockSpec(
-            self.width, self.height, self.orientation,
-            self.num_bitplanes, self.num_passes,
-            tuple((start + base, end + base) for start, end in self.segments),
-        )

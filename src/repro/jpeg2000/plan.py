@@ -9,11 +9,14 @@ decode run — the four pipeline stages
     ``parse → entropy → reconstruct → assemble``
 
 each bound to an implementation id and an executor (inline, or a worker
-pool with start method, chunking, transport, and overlap).  The planner
-(:func:`compile_plan`) compiles a
+pool with start method and chunking).  Every stage has one reference
+implementation (the oracle) plus at most one refined one: the entropy
+stage binds the ``batched`` or the ``reference`` Tier-1 kernel, the
+parse stage the ``fast`` or the ``reference`` Tier-2 reader.  The
+planner (:func:`compile_plan`) compiles a
 :class:`~repro.jpeg2000.options.DecodeOptions` value plus the host
-environment (CPU count, shared-memory availability) into a plan; the
-static validator (:func:`validate_plan` / :func:`check_plan`) rejects
+environment (CPU count) into a plan; the static validator
+(:func:`validate_plan` / :func:`check_plan`) rejects
 impossible combinations *before* any worker spawns, with machine-readable
 rule codes in the style of :mod:`repro.design.validate`.
 
@@ -26,30 +29,17 @@ Validation rules
 ``executor.unknown-kind``           executor kind not inline/pool
 ``executor.pool-requires-workers``  pool executor with fewer than 2 workers
 ``executor.pool-requires-chunking`` pool executor with chunk_size < 1
-``executor.transport-required``     pool executor without a transport
-``executor.unknown-transport``      transport not arena/pickle
 ``executor.unknown-start-method``   start method not fork/spawn/forkserver
 ``executor.inline-carries-pool-config``
-                                    inline executor with workers/transport/
-                                    overlap/start-method set (non-canonical)
+                                    inline executor with workers/chunking/
+                                    start method set (non-canonical)
 ``executor.stage-not-parallel``     pool executor on a stage other than
                                     entropy (only the entropy stage fans out)
-``executor.overlap-requires-arena`` overlap on a non-arena transport (the
-                                    streaming schedule needs spans resolved
-                                    in a shared output arena)
-``executor.arena-unavailable``      arena transport on a host without
-                                    ``multiprocessing.shared_memory``
-``kernel.arena-requires-batched``   the per-block ``fast`` kernel bound to
-                                    the arena transport (arena workers decode
-                                    whole chunks through the batched kernel;
-                                    the planner normalises ``fast`` →
-                                    ``batched`` there)
 
-Runtime degradations (arena → pickle → inline, broken-pool resume) are
-expressed as *plan rewrites* (:func:`degrade_to_pickle`,
-:func:`degrade_to_inline`, :func:`without_overlap`) applied by the
-driver and recorded in the per-stage fate map — testable in isolation
-instead of control flow buried in a fan-out function.
+Runtime degradations (pool unusable → inline, broken-pool resume) are
+recorded by the driver in the per-stage fate map;
+:func:`degrade_to_inline` is the pool → inline rewrite as a plan
+transformation, testable in isolation.
 """
 
 from __future__ import annotations
@@ -63,13 +53,11 @@ from typing import Optional
 from .options import (
     DEFAULT_OPTIONS,
     KERNEL_BATCHED,
-    KERNEL_FAST,
     KERNEL_REFERENCE,
     TIER2_FAST,
     TIER2_REFERENCE,
     _START_METHODS,
     DecodeOptions,
-    shared_memory,
 )
 
 #: The pipeline stages, in execution order.
@@ -83,10 +71,6 @@ STAGE_ORDER = (STAGE_PARSE, STAGE_ENTROPY, STAGE_RECONSTRUCT, STAGE_ASSEMBLE)
 EXECUTOR_INLINE = "inline"
 EXECUTOR_POOL = "pool"
 
-#: Pool transports.
-TRANSPORT_ARENA = "arena"
-TRANSPORT_PICKLE = "pickle"
-
 #: Reconstruction / assembly implementation ids (single registered impl
 #: each today; the registry exists so refinements slot in as new ids).
 RECONSTRUCT_VECTORISED = "vectorised"
@@ -95,7 +79,7 @@ ASSEMBLE_MOSAIC = "mosaic"
 #: Registered implementation ids per stage.
 STAGE_IMPLS = {
     STAGE_PARSE: (TIER2_FAST, TIER2_REFERENCE),
-    STAGE_ENTROPY: (KERNEL_FAST, KERNEL_BATCHED, KERNEL_REFERENCE),
+    STAGE_ENTROPY: (KERNEL_BATCHED, KERNEL_REFERENCE),
     STAGE_RECONSTRUCT: (RECONSTRUCT_VECTORISED,),
     STAGE_ASSEMBLE: (ASSEMBLE_MOSAIC,),
 }
@@ -108,18 +92,14 @@ class ExecutorSpec:
     ``kind="inline"`` runs on the calling process (the canonical form
     carries no pool configuration).  ``kind="pool"`` fans out to a
     process pool: ``workers`` processes created with ``start_method``,
-    work shipped in chunks of at most ``chunk_size`` blocks over
-    ``transport`` (``"arena"`` = zero-copy shared memory, ``"pickle"`` =
-    executor pickle channel), with ``overlap`` streaming chunks during
-    Tier-2 parsing (arena transport only).
+    work shipped through the executor's pickle channel in size-aware
+    chunks of at most ``chunk_size`` blocks.
     """
 
     kind: str = EXECUTOR_INLINE
     workers: int = 0
     chunk_size: int = 0
     start_method: Optional[str] = None
-    transport: Optional[str] = None
-    overlap: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -127,8 +107,6 @@ class ExecutorSpec:
             "workers": self.workers,
             "chunk_size": self.chunk_size,
             "start_method": self.start_method,
-            "transport": self.transport,
-            "overlap": self.overlap,
         }
 
     def describe(self) -> str:
@@ -138,8 +116,6 @@ class ExecutorSpec:
             f"pool workers={self.workers}",
             f"chunk={self.chunk_size}",
             f"start={self.start_method or 'default'}",
-            f"transport={self.transport}",
-            f"overlap={'on' if self.overlap else 'off'}",
         ]
         return " ".join(parts)
 
@@ -213,17 +189,13 @@ class DecodePlan:
 
 @dataclass(frozen=True)
 class PlanEnvironment:
-    """The host facts the planner and validator consult."""
+    """The host facts the planner consults."""
 
     cpu_count: int = 1
-    shared_memory_available: bool = False
 
     @classmethod
     def detect(cls) -> "PlanEnvironment":
-        return cls(
-            cpu_count=os.cpu_count() or 1,
-            shared_memory_available=shared_memory is not None,
-        )
+        return cls(cpu_count=os.cpu_count() or 1)
 
 
 # --------------------------------------------------------------------------
@@ -265,10 +237,12 @@ class _Collector:
         self.issues.append(PlanIssue(message, rule=rule, path=path))
 
 
-def validate_plan(plan: DecodePlan,
-                  env: Optional[PlanEnvironment] = None) -> list:
-    """Every issue that makes *plan* unexecutable on *env* (static)."""
-    env = env if env is not None else PlanEnvironment.detect()
+def validate_plan(plan: DecodePlan) -> list:
+    """Every issue that makes *plan* unexecutable (static).
+
+    No rule depends on the host: clamping to the CPU count is the
+    planner's job.
+    """
     issue = _Collector()
     bound = [binding.stage for binding in plan.stages]
     for name in STAGE_ORDER:
@@ -286,12 +260,11 @@ def validate_plan(plan: DecodePlan,
             rule="plan.stage-order", path="plan.stages",
         )
     for binding in plan.stages:
-        _validate_binding(binding, env, issue)
+        _validate_binding(binding, issue)
     return issue.issues
 
 
-def _validate_binding(binding: StageBinding, env: PlanEnvironment,
-                      issue: _Collector) -> None:
+def _validate_binding(binding: StageBinding, issue: _Collector) -> None:
     stage = binding.stage
     impls = STAGE_IMPLS.get(stage)
     if impls is not None and binding.impl not in impls:
@@ -315,11 +288,10 @@ def _validate_binding(binding: StageBinding, env: PlanEnvironment,
             rule="executor.unknown-start-method", path=path,
         )
     if ex.kind == EXECUTOR_INLINE:
-        if (ex.workers or ex.chunk_size or ex.transport is not None
-                or ex.overlap or ex.start_method is not None):
+        if ex.workers or ex.chunk_size or ex.start_method is not None:
             issue(
                 "inline executors carry no pool configuration "
-                "(workers/chunking/transport/overlap/start method)",
+                "(workers/chunking/start method)",
                 rule="executor.inline-carries-pool-config", path=path,
             )
         return
@@ -340,45 +312,11 @@ def _validate_binding(binding: StageBinding, env: PlanEnvironment,
             f"pool executor needs chunk_size >= 1, got {ex.chunk_size}",
             rule="executor.pool-requires-chunking", path=path,
         )
-    if ex.transport is None:
-        issue(
-            "pool executor needs a transport (arena or pickle)",
-            rule="executor.transport-required", path=path,
-        )
-        return
-    if ex.transport not in (TRANSPORT_ARENA, TRANSPORT_PICKLE):
-        issue(
-            f"unknown transport {ex.transport!r}",
-            rule="executor.unknown-transport", path=path,
-        )
-        return
-    if ex.overlap and ex.transport != TRANSPORT_ARENA:
-        issue(
-            "the overlapped (streaming) schedule requires the arena "
-            "transport: tiles drain from a shared output arena while "
-            "later tiles are still parsing",
-            rule="executor.overlap-requires-arena", path=path,
-        )
-    if ex.transport == TRANSPORT_ARENA:
-        if not env.shared_memory_available:
-            issue(
-                "arena transport requires multiprocessing.shared_memory, "
-                "which this host does not provide",
-                rule="executor.arena-unavailable", path=path,
-            )
-        if stage == STAGE_ENTROPY and binding.impl == KERNEL_FAST:
-            issue(
-                "the per-block 'fast' kernel cannot ride the arena "
-                "transport; arena workers decode whole chunks through "
-                "the batched kernel (use impl 'batched' or 'reference')",
-                rule="kernel.arena-requires-batched", path=f"{stage}.impl",
-            )
 
 
-def check_plan(plan: DecodePlan,
-               env: Optional[PlanEnvironment] = None) -> DecodePlan:
+def check_plan(plan: DecodePlan) -> DecodePlan:
     """*plan* unchanged if valid; raises :class:`PlanValidationError`."""
-    issues = validate_plan(plan, env)
+    issues = validate_plan(plan)
     if issues:
         raise PlanValidationError(issues)
     return plan
@@ -395,8 +333,7 @@ def compile_plan(options: DecodeOptions = DEFAULT_OPTIONS,
 
     The compilation is total: every constructible
     :class:`DecodeOptions` value yields a plan that passes
-    :func:`validate_plan` on the same environment (a property the test
-    suite pins).  Host clamping happens here — a parallel request on a
+    :func:`validate_plan` (a property the test suite pins).  Host clamping happens here — a parallel request on a
     1-CPU host compiles to an inline entropy executor — and the *report*
     of that degradation stays with the decode entry points
     (``ParallelDegradedWarning``), not the planner, which is pure.
@@ -408,24 +345,15 @@ def compile_plan(options: DecodeOptions = DEFAULT_OPTIONS,
     workers = requested if options.oversubscribe else min(requested, env.cpu_count)
     parse = StageBinding(STAGE_PARSE, options.tier2)
     if workers > 1:
-        use_arena = options.shared_memory and env.shared_memory_available
-        transport = TRANSPORT_ARENA if use_arena else TRANSPORT_PICKLE
-        impl = options.kernel
-        if transport == TRANSPORT_ARENA and impl == KERNEL_FAST:
-            # Arena workers always decode whole chunks through the
-            # batched kernel; record what actually runs.
-            impl = KERNEL_BATCHED
         executor = ExecutorSpec(
             kind=EXECUTOR_POOL,
             workers=workers,
             chunk_size=options.chunk_size,
             start_method=options.start_method,
-            transport=transport,
-            overlap=options.overlap and transport == TRANSPORT_ARENA,
         )
-        entropy = StageBinding(STAGE_ENTROPY, impl, executor)
     else:
-        entropy = StageBinding(STAGE_ENTROPY, options.kernel)
+        executor = INLINE
+    entropy = StageBinding(STAGE_ENTROPY, options.kernel, executor)
     return DecodePlan((
         parse,
         entropy,
@@ -439,9 +367,9 @@ def options_for_plan(plan: DecodePlan) -> DecodeOptions:
 
     Best-effort inverse of :func:`compile_plan` — pinned by a round-trip
     property in the test suite: for any valid plan,
-    ``compile_plan(options_for_plan(p), env)`` reproduces ``p`` when the
-    environment supports its transport.  Lets callers hand the decoder a
-    plan directly while schedule reporting keeps working.
+    ``compile_plan(options_for_plan(p), env)`` reproduces ``p``.  Lets
+    callers hand the decoder a plan directly while schedule reporting
+    keeps working.
     """
     parse = plan.stage(STAGE_PARSE)
     entropy = plan.stage(STAGE_ENTROPY)
@@ -451,43 +379,19 @@ def options_for_plan(plan: DecodePlan) -> DecodeOptions:
             workers=ex.workers,
             chunk_size=ex.chunk_size,
             kernel=entropy.impl,
-            shared_memory=ex.transport == TRANSPORT_ARENA,
             start_method=ex.start_method,
             oversubscribe=True,
             tier2=parse.impl,
-            overlap=ex.overlap,
         )
     return DecodeOptions(kernel=entropy.impl, tier2=parse.impl)
 
 
 # --------------------------------------------------------------------------
-# plan rewrites: the degradation chain as explicit, testable functions
+# plan rewrites
 # --------------------------------------------------------------------------
-
-
-def degrade_to_pickle(plan: DecodePlan) -> DecodePlan:
-    """arena → pickle: same pool, kernel unchanged, overlap dropped
-    (the streaming schedule only exists on the arena transport)."""
-    entropy = plan.stage(STAGE_ENTROPY)
-    return plan.with_stage(replace(
-        entropy,
-        executor=replace(
-            entropy.executor, transport=TRANSPORT_PICKLE, overlap=False
-        ),
-    ))
 
 
 def degrade_to_inline(plan: DecodePlan) -> DecodePlan:
     """pool → inline: the terminal fallback when no pool exists."""
     entropy = plan.stage(STAGE_ENTROPY)
     return plan.with_stage(replace(entropy, executor=INLINE))
-
-
-def without_overlap(plan: DecodePlan) -> DecodePlan:
-    """The same pool schedule with streaming off (barrier fan-out)."""
-    entropy = plan.stage(STAGE_ENTROPY)
-    if not entropy.executor.overlap:
-        return plan
-    return plan.with_stage(replace(
-        entropy, executor=replace(entropy.executor, overlap=False)
-    ))

@@ -6,12 +6,12 @@ One module per :mod:`~repro.jpeg2000.plan` stage seam:
     Tier-2: packet headers → per-block codeword spans (plus the QCD
     interpretation the later stages consult).
 :mod:`~repro.jpeg2000.stages.entropy`
-    Tier-1: the code-block kernels and every executor that can run them
-    (inline, pickle pool, zero-copy arena pool, streaming overlap) with
-    the broken-pool resume machinery.
+    Tier-1: the reference and batched code-block kernels and the
+    executor that runs them (inline, or a size-aware worker-pool
+    fan-out) with the broken-pool resume machinery.
 :mod:`~repro.jpeg2000.stages.reconstruct`
     Gather, inverse quantisation, inverse DWT, inverse colour transform,
-    DC shift — per tile and vectorised across tiles.
+    DC shift — vectorised within each tile.
 :mod:`~repro.jpeg2000.stages.assemble`
     The tile mosaic (full-size and resolution-truncated).
 

@@ -3,11 +3,10 @@
 Everything after the entropy kernels and before the tile mosaic.  The
 per-tile functions mirror Fig. 1's stage structure (and accumulate
 basic-op counts into the caller's ``StageOps``); :func:`finish_tiles`
-is the cross-tile vectorised path the driver uses — dequantisation per
-tile, one batched inverse DWT over every same-shape tile component, and
-the fused colour-transform + DC-shift kernels — value- and
-op-count-identical to running the per-tile functions one stage at a
-time.
+is the vectorised path the driver runs on each tile — dequantisation,
+one batched inverse DWT over the tile's same-shape components, and the
+fused colour-transform + DC-shift kernels — value- and
+op-count-identical to running the per-stage functions one at a time.
 """
 
 from __future__ import annotations
@@ -177,38 +176,23 @@ def finish_mct_dc(params: CodingParameters, planes: list, ops) -> list:
     return out
 
 
-def finish_tiles(stages_list: list, bands_by_tile: list) -> dict:
-    """Stages 2–5 for the given tiles, vectorised across tiles.
+def finish_tiles(stages, bands: list) -> list:
+    """Stages 2–5 for one tile: its reconstructed component planes.
 
-    *stages_list* holds the per-tile ``TileStages`` drivers (op
-    accumulators and coding parameters); dequantisation runs per tile
-    (already one NumPy pass per subband); the inverse DWT batches every
-    same-shape tile component per resolution level
+    *stages* is the tile's ``TileStages`` driver (op accumulators and
+    coding parameters) and *bands* its scattered entropy output.
+    Dequantisation is one NumPy pass per subband; the inverse DWT
+    batches the tile's same-shape components per resolution level
     (:func:`~repro.jpeg2000.dwt.inverse_batch`); the colour transform
     and DC shift run as fused whole-plane kernels.  Values and op counts
-    are exactly those of the per-tile path.
+    are exactly those of the per-stage functions above.
     """
     with telemetry.software_span("stage", "dequant_mct", "decode"):
-        subbands_per_tile = [
-            stages._staged(STAGE_IQ, stages.dequantise, bands)
-            for stages, bands in zip(stages_list, bands_by_tile)
-        ]
+        subbands = stages._staged(STAGE_IQ, stages.dequantise, bands)
     with telemetry.software_span("stage", "idwt", "decode"):
-        flat_subbands = []
-        counts_list = []
-        slots = []
-        for slot, subbands in enumerate(subbands_per_tile):
-            for component in subbands:
-                flat_subbands.append(component)
-                counts_list.append(dwt.DwtOpCounts())
-                slots.append(slot)
-        planes_flat = dwt.inverse_batch(flat_subbands, counts_list)
-        planes_per_tile: list[list] = [[] for _ in stages_list]
-        for slot, plane, counts in zip(slots, planes_flat, counts_list):
-            planes_per_tile[slot].append(plane)
-            stages_list[slot].ops.add(STAGE_IDWT, counts.total)
+        counts_list = [dwt.DwtOpCounts() for _ in subbands]
+        planes = dwt.inverse_batch(subbands, counts_list)
+        for counts in counts_list:
+            stages.ops.add(STAGE_IDWT, counts.total)
     with telemetry.software_span("stage", "dequant_mct", "decode"):
-        return {
-            stages.tile_index: stages.finish_mct_dc(planes)
-            for stages, planes in zip(stages_list, planes_per_tile)
-        }
+        return stages.finish_mct_dc(planes)

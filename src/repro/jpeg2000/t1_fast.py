@@ -1,9 +1,9 @@
-"""Optimised EBCOT Tier-1 decoder — the single-thread hot-path kernel.
+"""Optimised EBCOT Tier-1 decoder — the refined hot-path kernel.
 
 Bit-for-bit equivalent to :class:`repro.jpeg2000.t1.CodeBlockDecoder`
 (same coefficients, same basic-operation count), but restructured for
-CPython speed.  This is the per-block kernel the parallel decode path
-(``repro.jpeg2000.parallel``) distributes over worker processes; the
+CPython speed.  :func:`decode_codeblock_batch` is the decode stack's one
+refined Tier-1 kernel (plan impl ``"batched"``, the default); the
 reference decoder in ``t1.py`` stays as the readable specification and
 as the parity oracle for tests.
 
@@ -18,25 +18,22 @@ What changes relative to the reference:
   each time a sample becomes significant — turning the dominant
   ``neighbour_counts`` cost into a single list read;
 * zero-coding contexts come from the precomputed ``context.ZC_LUT``
-  table indexed by the packed counter.
+  table indexed by the packed counter;
+* a whole chunk of code blocks runs through one shared set of closures
+  and reused per-sample scratch buffers, and the final sign application
+  is vectorised with NumPy — amortising the per-block Python overhead
+  that dominates on small blocks (the paper workload's 32x32 grid
+  produces hundreds of them).
 
 The operation counter keeps the reference semantics exactly: +1 per MQ
 decision, +1 per renormalisation shift, so the Fig. 1 / Table 1 cycle
 models are unaffected by which kernel decodes a block.
-
-:func:`decode_codeblock_batch` at the bottom is the *batched* entry
-point: it runs the same cleanup-pass/bitplane loops across a whole chunk
-of code blocks through one shared set of closures, reuses the per-sample
-scratch buffers, and vectorises the final sign application with NumPy —
-amortising the per-block Python overhead that dominates on small blocks
-(the paper workload's 32x32 grid produces hundreds of them).  It is the
-kernel the shared-memory parallel path ships to its workers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -137,334 +134,52 @@ def _column_codes(mask: np.ndarray, w: int, h: int) -> bytearray:
     return bytearray(np.concatenate(parts).tobytes())
 
 
-class FastCodeBlockDecoder:
-    """Drop-in replacement for :class:`~repro.jpeg2000.t1.CodeBlockDecoder`."""
+#: Blocks with more bit planes than this have magnitudes that do not fit
+#: an ``int32`` coefficient array.
+MAX_INT32_BITPLANES = 30
 
-    def __init__(self, data: bytes, width: int, height: int, orientation: str,
-                 num_bitplanes: int, num_passes: Optional[int] = None):
-        if width < 1 or height < 1:
-            raise ValueError("code block dimensions must be positive")
-        if orientation not in ZC_LUT:
-            raise ValueError(f"unknown subband orientation {orientation!r}")
-        self.orientation = orientation
-        self.width = width
-        self.height = height
-        self.data = data
-        self.num_bitplanes = num_bitplanes
-        self.num_passes = num_passes
-        self.ops = 0
 
-    def decode(self) -> list[int]:
-        """Return the signed coefficients, row major."""
-        w = self.width
-        h = self.height
-        size = w * h
-        planes = self.num_bitplanes
-        if planes == 0:
-            return [0] * size
-
-        data = self.data
-        length = len(data)
-        zc = ZC_LUT[self.orientation]
-        qe_tab = _QE
-        qe16_tab = _QE16
-        nmps_tab = _NMPS
-        nlps_tab = _NLPS
-        switch_tab = _SWITCH
-
-        # Per-sample coding state (flat, row major).
-        sigma = bytearray(size)
-        visited = bytearray(size)
-        refined = bytearray(size)
-        sign = bytearray(size)
-        nb = bytearray(size)  # packed neighbour counts: h | v << 2 | d << 4
-        magnitude = [0] * size
-
-        # Context bank as flat lists (indices match context.initial_contexts).
-        cx_index = [0] * 19
-        cx_mps = [0] * 19
-        cx_index[0] = 4
-        cx_index[CTX_RUN] = 3
-        cx_index[CTX_UNI] = 46
-
-        # INITDEC with register state in closure variables.
-        c = (data[0] if length > 0 else 0xFF) << 16
-        bp = 0
-        if (data[0] if length > 0 else 0xFF) == 0xFF:
-            if (data[1] if length > 1 else 0xFF) > 0x8F:
-                c += 0xFF00
-                ct = 8
-            else:
-                bp = 1
-                c += (data[1] if length > 1 else 0xFF) << 9
-                ct = 7
-        else:
-            bp = 1
-            c += (data[1] if length > 1 else 0xFF) << 8
-            ct = 8
-        c <<= 7
-        ct -= 7
-        a = 0x8000
-        ops = 0
-
-        def mq_decode(k: int) -> int:
-            """One MQ decision in context *k* (flattened hot loop).
-
-            ``c`` stays below 2**32 between calls, so ``c >> 16`` never
-            exceeds 0xFFFF and the spec's Chigh mask is unnecessary here;
-            the ``c < qe << 16`` comparison is the same test with the
-            shift precomputed in ``_QE16``.
-            """
-            nonlocal a, c, ct, bp, ops
-            i = cx_index[k]
-            qe = qe_tab[i]
-            qe16 = qe16_tab[i]
-            ops += 1
-            a -= qe
-            if c < qe16:
-                # LPS exchange path
-                if a < qe:
-                    bit = cx_mps[k]
-                    cx_index[k] = nmps_tab[i]
-                else:
-                    bit = 1 - cx_mps[k]
-                    if switch_tab[i]:
-                        cx_mps[k] = bit
-                    cx_index[k] = nlps_tab[i]
-                a = qe
-            else:
-                c -= qe16
-                if a & 0x8000:
-                    return cx_mps[k]
-                # MPS exchange path
-                if a < qe:
-                    bit = 1 - cx_mps[k]
-                    if switch_tab[i]:
-                        cx_mps[k] = bit
-                    cx_index[k] = nlps_tab[i]
-                else:
-                    bit = cx_mps[k]
-                    cx_index[k] = nmps_tab[i]
-            while True:  # RENORMD with BYTEIN inline
-                if ct == 0:
-                    byte = data[bp] if bp < length else 0xFF
-                    if byte == 0xFF:
-                        if (data[bp + 1] if bp + 1 < length else 0xFF) > 0x8F:
-                            c += 0xFF00
-                            ct = 8
-                        else:
-                            bp += 1
-                            c += (data[bp] if bp < length else 0xFF) << 9
-                            ct = 7
-                    else:
-                        bp += 1
-                        c += (data[bp] if bp < length else 0xFF) << 8
-                        ct = 8
-                a = (a << 1) & 0xFFFF
-                c = (c << 1) & 0xFFFFFFFF
-                ct -= 1
-                ops += 1
-                if a & 0x8000:
-                    break
-            return bit
-
-        w1 = w - 1
-        h1 = h - 1
-
-        def set_significant(idx: int, x: int, y: int) -> None:
-            """Mark a sample significant; bump neighbours' packed counts."""
-            sigma[idx] = 1
-            left = x > 0
-            right = x < w1
-            if left:
-                nb[idx - 1] += 1
-            if right:
-                nb[idx + 1] += 1
-            if y > 0:
-                up = idx - w
-                nb[up] += 4
-                if left:
-                    nb[up - 1] += 16
-                if right:
-                    nb[up + 1] += 16
-            if y < h1:
-                down = idx + w
-                nb[down] += 4
-                if left:
-                    nb[down - 1] += 16
-                if right:
-                    nb[down + 1] += 16
-
-        def decode_sign(idx: int, x: int, y: int) -> None:
-            """Sign coding from clipped neighbour contributions (D.3.2)."""
-            h_sum = 0
-            if x > 0:
-                j = idx - 1
-                if sigma[j]:
-                    h_sum = -1 if sign[j] else 1
-            if x < w1:
-                j = idx + 1
-                if sigma[j]:
-                    h_sum += -1 if sign[j] else 1
-            if h_sum > 1:
-                h_sum = 1
-            elif h_sum < -1:
-                h_sum = -1
-            v_sum = 0
-            if y > 0:
-                j = idx - w
-                if sigma[j]:
-                    v_sum = -1 if sign[j] else 1
-            if y < h1:
-                j = idx + w
-                if sigma[j]:
-                    v_sum += -1 if sign[j] else 1
-            if v_sum > 1:
-                v_sum = 1
-            elif v_sum < -1:
-                v_sum = -1
-            ctx, xor_bit = SC_LUT[h_sum * 3 + v_sum + 4]
-            sign[idx] = mq_decode(ctx) ^ xor_bit
-
-        def significance_pass(bit_mask: int) -> None:
-            sig, vis, counts, mag = sigma, visited, nb, magnitude
-            dec, lut = mq_decode, zc
-            for stripe_top in range(0, h, 4):
-                stripe_rows = 4 if stripe_top + 4 <= h else h - stripe_top
-                base = stripe_top * w
-                for x in range(w):
-                    idx = base + x
-                    for y in range(stripe_top, stripe_top + stripe_rows):
-                        if not sig[idx]:
-                            packed = counts[idx]
-                            if packed:
-                                vis[idx] = 1
-                                if dec(lut[packed]):
-                                    mag[idx] |= bit_mask
-                                    set_significant(idx, x, y)
-                                    decode_sign(idx, x, y)
-                        idx += w
-
-        def refinement_pass(bit_mask: int) -> None:
-            sig, vis, counts, mag, ref = sigma, visited, nb, magnitude, refined
-            dec = mq_decode
-            for stripe_top in range(0, h, 4):
-                stripe_rows = 4 if stripe_top + 4 <= h else h - stripe_top
-                base = stripe_top * w
-                for x in range(w):
-                    idx = base + x
-                    for _ in range(stripe_rows):
-                        if sig[idx] and not vis[idx]:
-                            if ref[idx]:
-                                k = 16
-                            elif counts[idx]:
-                                k = 15
-                            else:
-                                k = 14
-                            if dec(k):
-                                mag[idx] |= bit_mask
-                            ref[idx] = 1
-                        idx += w
-
-        def cleanup_pass(bit_mask: int) -> None:
-            sig, vis, counts, mag = sigma, visited, nb, magnitude
-            dec, lut = mq_decode, zc
-            for stripe_top in range(0, h, 4):
-                stripe_rows = 4 if stripe_top + 4 <= h else h - stripe_top
-                base = stripe_top * w
-                full = stripe_rows == 4
-                for x in range(w):
-                    top = base + x
-                    start_row = 0
-                    if full:
-                        i1 = top + w
-                        i2 = i1 + w
-                        i3 = i2 + w
-                        if not (
-                            sig[top] or vis[top] or counts[top]
-                            or sig[i1] or vis[i1] or counts[i1]
-                            or sig[i2] or vis[i2] or counts[i2]
-                            or sig[i3] or vis[i3] or counts[i3]
-                        ):
-                            if not dec(CTX_RUN):
-                                continue
-                            first_one = (dec(CTX_UNI) << 1) | dec(CTX_UNI)
-                            y = stripe_top + first_one
-                            idx = top + first_one * w
-                            mag[idx] |= bit_mask
-                            set_significant(idx, x, y)
-                            decode_sign(idx, x, y)
-                            start_row = first_one + 1
-                    idx = top + start_row * w
-                    for k in range(start_row, stripe_rows):
-                        if not (sig[idx] or vis[idx]):
-                            if dec(lut[counts[idx]]):
-                                y = stripe_top + k
-                                mag[idx] |= bit_mask
-                                set_significant(idx, x, y)
-                                decode_sign(idx, x, y)
-                        idx += w
-
-        passes_done = 0
-        passes_limit = (
-            self.num_passes if self.num_passes is not None else 3 * planes - 2
-        )
-        for plane in range(planes - 1, -1, -1):
-            bit_mask = 1 << plane
-            if plane != planes - 1:
-                if passes_done >= passes_limit:
-                    break
-                significance_pass(bit_mask)
-                passes_done += 1
-                if passes_done >= passes_limit:
-                    break
-                refinement_pass(bit_mask)
-                passes_done += 1
-            if passes_done >= passes_limit:
-                break
-            cleanup_pass(bit_mask)
-            passes_done += 1
-            visited[:] = bytes(size)
-
-        self.ops = ops
-        return [
-            -magnitude[idx] if sign[idx] else magnitude[idx] for idx in range(size)
-        ]
+def batch_dtype(bitplanes) -> type:
+    """The narrowest flat-output dtype for blocks with these bit-plane
+    counts: ``int32``, or ``int64`` once any block exceeds 30 planes."""
+    return np.int64 if max(bitplanes, default=0) > MAX_INT32_BITPLANES else np.int32
 
 
 #: A batched decode task: (data, width, height, orientation,
 #: num_bitplanes, num_passes, out_offset).  ``out_offset`` is the block's
-#: first sample in the flat output array, so a worker can write its whole
-#: chunk into one shared coefficient buffer without intermediate lists.
+#: first sample in the flat output array, so a whole chunk lands in one
+#: coefficient buffer without intermediate lists.
 BatchBlock = tuple
 
 
 def decode_codeblock_batch(blocks: Sequence[BatchBlock], out=None):
     """Decode a chunk of code blocks through one shared kernel instance.
 
-    Bit-for-bit identical to running :class:`FastCodeBlockDecoder` on
-    each block (same coefficients, same per-block op counts), but the MQ
-    decoder, the pass closures, and the per-sample scratch buffers are
-    built once per *batch* instead of once per *block*, and the final
-    sign application runs vectorised — the per-block Python overhead the
-    parallel scheduler pays hundreds of times per tile is paid once here.
+    Bit-for-bit identical to running the reference
+    :class:`~repro.jpeg2000.t1.CodeBlockDecoder` on each block (same
+    coefficients, same per-block op counts), but the MQ decoder, the
+    pass closures, and the per-sample scratch buffers are built once per
+    *batch* instead of once per *block*, and the final sign application
+    runs vectorised.
 
-    ``out`` is a flat 1-D integer array (typically an ``int32`` view over
-    a shared-memory arena) that every block writes into at its
-    ``out_offset``; when ``None`` a fresh ``int32`` array sized to the
-    batch is allocated, with blocks laid end to end at their offsets.
+    ``out`` is a flat 1-D integer array that every block writes into at
+    its ``out_offset``; when ``None`` a fresh array sized to the batch
+    is allocated, with blocks laid end to end at their offsets.  A fresh
+    array is ``int32`` unless some block has more than 30 bit planes, in
+    which case it is ``int64`` (magnitudes of 2**31 and beyond do not
+    fit ``int32``); a caller-supplied array narrower than 64 bits
+    rejects such a block with ``ValueError``.
 
     Returns ``(out, ops)`` where ``ops[i]`` is block *i*'s basic-op
-    count.  Blocks with more than 30 bit planes must go through the
-    unbatched kernels (the flat output is ``int32``); the caller guards
-    this, and the function raises ``ValueError`` as a backstop.
+    count.
     """
     if out is None:
         total = 0
         for block in blocks:
             offset_end = block[6] + block[1] * block[2]
             total = offset_end if offset_end > total else total
-        out = np.zeros(total, dtype=np.int32)
+        out = np.zeros(total, dtype=batch_dtype(block[4] for block in blocks))
+    wide = out.dtype.itemsize >= 8
 
     qe_tab = _QE
     qe16_tab = _QE16
@@ -510,8 +225,8 @@ def decode_codeblock_batch(blocks: Sequence[BatchBlock], out=None):
     a = c = ct = bp = ops = 0
 
     def mq_decode(k: int) -> int:
-        # Verbatim the single-block kernel's decision path (see
-        # FastCodeBlockDecoder.decode) — op parity depends on it.
+        # The reference MqDecoder's DECODE decision path, with Qe
+        # pre-shifted into Chigh position — op parity depends on it.
         nonlocal a, c, ct, bp, ops
         i = cx_index[k]
         qe = qe_tab[i]
@@ -971,10 +686,10 @@ def decode_codeblock_batch(blocks: Sequence[BatchBlock], out=None):
             raise ValueError("code block dimensions must be positive")
         if orientation not in ZC_LUT:
             raise ValueError(f"unknown subband orientation {orientation!r}")
-        if num_bitplanes > 30:
+        if num_bitplanes > MAX_INT32_BITPLANES and not wide:
             raise ValueError(
-                "decode_codeblock_batch is limited to 30 bit planes "
-                "(int32 output); use FastCodeBlockDecoder"
+                f"a block with {num_bitplanes} bit planes needs an int64 "
+                f"output array, got {out.dtype}"
             )
         size = width * height
         if num_bitplanes == 0:
@@ -1001,7 +716,7 @@ def decode_codeblock_batch(blocks: Sequence[BatchBlock], out=None):
         cx_index[CTX_RUN] = 3
         cx_index[CTX_UNI] = 46
 
-        # INITDEC, verbatim from the single-block kernel.
+        # INITDEC (the reference MqDecoder's initialisation).
         c = (data[0] if length > 0 else 0xFF) << 16
         bp = 0
         if (data[0] if length > 0 else 0xFF) == 0xFF:

@@ -63,9 +63,8 @@ class CodeBlockContribution:
     missing_msbs: int = 0
     #: Decoder side: ``(start, end)`` spans of this block's codeword
     #: segments *within the tile-part buffer*, one per contributing
-    #: packet.  The parallel decode path ships these spans (plus the tile
-    #: buffer, once, via shared memory) instead of materialised per-block
-    #: bytes — the segment layout that makes the arena zero-copy.
+    #: packet.  The parse stage records these spans instead of
+    #: materialised per-block bytes; the entropy stage joins them.
     segments: list = field(default_factory=list)
     #: Encoder side: per-pass cumulative byte marks from Tier-1.
     pass_lengths: Optional[list] = None

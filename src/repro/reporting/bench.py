@@ -4,7 +4,7 @@ The op-count instrumentation reconstructs the paper's *modelled* numbers
 (Fig. 1, Table 1); this module measures what the Python implementation
 *actually* costs on the host, so performance PRs carry evidence.  The
 benchmark in ``benchmarks/test_wallclock_decode.py`` uses it to compare
-the sequential reference kernel, the optimised kernel, and the parallel
+the sequential reference kernel, the batched kernel, and the parallel
 worker-pool path on the paper's 16-tile workload, and persists the
 trajectory file ``BENCH_decode.json`` at the repository root so later
 PRs can show where they started from.
@@ -25,15 +25,17 @@ SCHEMA_VERSION = 1
 
 #: Bump when the structure of BENCH_decode.json changes.  v2 added the
 #: per-variant ``schedules`` block (requested vs effective workers,
-#: chunking, granularity, transport) so a recorded "parallel" number can
-#: never silently be a sequential run.  v3 added the per-variant
+#: chunking, kernel) so a recorded "parallel" number can never silently
+#: be a sequential run.  v3 added the per-variant
 #: ``stage_shares`` block (t2_parse / t1_decode / idwt / dequant_mct /
 #: gather wall-time fractions) so each recorded number carries its own
 #: Amdahl decomposition.  v4 added the per-variant ``plans`` block (the
 #: compiled, validated DecodePlan and its digest) so every row is
 #: labelled by the exact plan that produced it, not just the options
-#: that requested it.
-DECODE_SCHEMA_VERSION = 4
+#: that requested it.  v5 dropped the ``granularity``, ``shared_memory``
+#: and ``overlap`` schedule fields (one pool transport and one schedule
+#: remain) and the ``fast-sequential`` / ``parallel-shm-4`` rows.
+DECODE_SCHEMA_VERSION = 5
 
 
 def machine_info() -> dict:
@@ -80,7 +82,7 @@ class DecodeBench:
         self.seed_baseline_seconds = dict(seed_baseline_seconds or {})
         self.modes: dict[str, dict] = {}
         #: Per-variant scheduling facts (``DecodeOptions.schedule_info()``):
-        #: requested vs effective workers, chunking, granularity, transport.
+        #: requested vs effective workers, chunking, kernel, start method.
         self.schedules: dict[str, dict] = {}
         #: Per mode, per variant: stage-name -> wall-time share (the
         #: ``t2_parse``/``t1_decode``/``idwt``/``dequant_mct``/``gather``

@@ -64,7 +64,7 @@ def repo_root() -> Path:
 
 
 def flatten_decode(payload: dict) -> dict:
-    """``decode/<mode>/<schedule>`` metrics from BENCH_decode schema 3."""
+    """``decode/<mode>/<schedule>`` metrics from BENCH_decode (schema 3+)."""
     flat = {}
     for mode, entry in (payload.get("modes") or {}).items():
         for schedule, seconds in (entry.get("seconds") or {}).items():
@@ -194,8 +194,8 @@ def measure_fresh(
     """Quick proxy measurements on this machine.
 
     Covers a *subset* of the baseline metric space so the sentinel stays
-    CI-cheap: the decode schedules at a reduced workload (the per-kind
-    calibration absorbs the uniform size factor) and the two cheapest
+    CI-cheap: the batched-sequential decode at a reduced workload (the
+    per-kind calibration absorbs the uniform size factor) and the two cheapest
     VTA benches under both substrates.  Sweep metrics are not measured
     here — use ``--ledger`` or ``--fresh`` for those.
     """
@@ -222,16 +222,14 @@ def measure_fresh(
             synthetic_image(size, size, 3, seed=2008), params
         )
         mode = "lossless" if lossless else "lossy"
-        for schedule, kernel in (
-            ("fast-sequential", "fast"),
-            ("batched-sequential", "batched"),
-        ):
-            decoder = Jpeg2000Decoder(
-                codestream, options=DecodeOptions(kernel=kernel)
-            )
-            start = time.perf_counter()
-            decoder.decode()
-            fresh[f"decode/{mode}/{schedule}"] = time.perf_counter() - start
+        decoder = Jpeg2000Decoder(
+            codestream, options=DecodeOptions(kernel="batched")
+        )
+        start = time.perf_counter()
+        decoder.decode()
+        fresh[f"decode/{mode}/batched-sequential"] = (
+            time.perf_counter() - start
+        )
 
     from ..casestudy.explorer import ALL_VERSIONS
     from ..casestudy.workload import paper_workload

@@ -73,8 +73,7 @@ def test_crash_report_embeds_plan_and_stage_fates(
     data, reference = workload
     _arm_bomb(monkeypatch, tmp_path)
     options = DecodeOptions(
-        workers=2, chunk_size=1, oversubscribe=True,
-        start_method="fork", shared_memory=False,
+        workers=2, chunk_size=1, oversubscribe=True, start_method="fork",
     )
     decoder = Jpeg2000Decoder(data, options=options)
     telemetry.install_log()
@@ -103,7 +102,7 @@ def test_crash_report_embeds_plan_and_stage_fates(
         s for s in plan_context["stages"] if s["stage"] == "entropy"
     )
     assert entropy_stage["executor"]["kind"] == "pool"
-    assert entropy_stage["executor"]["transport"] == "pickle"
+    assert entropy_stage["executor"]["workers"] == 2
 
     # So does the fate map: at crash time the entropy stage was running
     # and had already recorded the broken-pool-resume rewrite.

@@ -1,12 +1,14 @@
 """The plan-matrix differential suite (the decode-identity guarantee).
 
-Every *valid* decode plan — inline or pool, pickle or arena transport,
-barrier or overlapped, fast/batched/reference kernels, fast/reference
-Tier-2 — must produce the byte-identical image and identical
-basic-operation counts as the reference plan on the same 4-tile
-workload, in both case-study modes (lossless 5/3 and lossy 9/7).
-Invalid stage/executor combinations must be rejected *statically*, with
-their documented rule codes, before any worker spawns.
+Every *valid* decode plan — inline or pool executor × batched or
+reference Tier-1 kernel × fast or reference Tier-2 parser — must produce
+the byte-identical image and identical basic-operation counts as the
+reference plan on the same 4-tile workload, in both case-study modes
+(lossless 5/3 and lossy 9/7).  The same holds for code blocks with more
+than 30 bit planes (magnitudes past ``int32``) and after a worker of a
+pool plan is killed.  Invalid stage/executor combinations must be
+rejected *statically*, with their documented rule codes, before any
+worker spawns.
 
 When a plan fails the identity check its canonical JSON is dumped to
 ``$PLAN_MATRIX_DUMP_DIR`` (CI uploads it as an artifact); the matrix
@@ -14,9 +16,12 @@ start method can be forced with ``$PLAN_MATRIX_START_METHOD`` so CI can
 sweep fork and spawn.
 """
 
+import itertools
 import json
 import os
 import pathlib
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -29,72 +34,55 @@ from repro.jpeg2000 import (
     shutdown_pool,
     synthetic_image,
 )
+from repro.jpeg2000.options import BlockSpec
 from repro.jpeg2000.plan import (
     EXECUTOR_POOL,
     STAGE_ENTROPY,
-    TRANSPORT_ARENA,
-    TRANSPORT_PICKLE,
     ExecutorSpec,
     PlanValidationError,
     StageBinding,
     compile_plan,
     validate_plan,
 )
+from repro.jpeg2000.stages import entropy
+from repro.jpeg2000.t1 import CodeBlockEncoder
 
 #: CI sweeps the whole matrix under fork and under spawn.
 START_METHOD = os.environ.get("PLAN_MATRIX_START_METHOD") or None
 
 
-def _pool(transport, *, impl, overlap=False, chunk_size=3):
-    return StageBinding(STAGE_ENTROPY, impl, ExecutorSpec(
-        kind=EXECUTOR_POOL, workers=2, chunk_size=chunk_size,
-        start_method=START_METHOD, transport=transport, overlap=overlap,
-    ))
+def _pool_executor(workers=2):
+    return ExecutorSpec(
+        kind=EXECUTOR_POOL, workers=workers, chunk_size=3,
+        start_method=START_METHOD,
+    )
 
 
-def _plan(entropy=None, tier2="fast"):
-    """The reference plan with the entropy binding (and Tier-2) swapped."""
+def _plan(executor, kernel, tier2):
+    """The reference plan with the entropy binding and Tier-2 swapped."""
     base = compile_plan(DecodeOptions(tier2=tier2))
-    return base if entropy is None else base.with_stage(entropy)
+    return base.with_stage(StageBinding(STAGE_ENTROPY, kernel, executor))
 
 
-#: Every valid schedule shape the executor supports, labelled for CI.
+#: Every surviving plan: {inline, pool} x {batched, reference} x Tier-2
+#: {fast, reference}, labelled for CI ("-tier2" = reference Tier-2).
 MATRIX = {
-    "inline-fast": _plan(),
-    "inline-batched": _plan(StageBinding(STAGE_ENTROPY, "batched")),
-    "inline-reference": _plan(StageBinding(STAGE_ENTROPY, "reference")),
-    "inline-reference-tier2": _plan(tier2="reference"),
-    "pickle-fast": _plan(_pool(TRANSPORT_PICKLE, impl="fast")),
-    "pickle-reference": _plan(_pool(TRANSPORT_PICKLE, impl="reference")),
-    "arena-barrier": _plan(_pool(TRANSPORT_ARENA, impl="batched")),
-    "arena-overlap": _plan(
-        _pool(TRANSPORT_ARENA, impl="batched", overlap=True)
-    ),
-    "arena-reference-overlap": _plan(
-        _pool(TRANSPORT_ARENA, impl="reference", overlap=True, chunk_size=1)
-    ),
+    f"{name}-{kernel}" + ("-tier2" if tier2 == "reference" else ""):
+        _plan(executor, kernel, tier2)
+    for (name, executor), kernel, tier2 in itertools.product(
+        (("inline", ExecutorSpec()), ("pool", _pool_executor())),
+        ("batched", "reference"),
+        ("fast", "reference"),
+    )
 }
+POOL_PLANS = sorted(label for label in MATRIX if label.startswith("pool-"))
 
 #: The documented static rejections (rule code → a plan that trips it).
 INVALID = {
-    "executor.pool-requires-workers": _plan(StageBinding(
-        STAGE_ENTROPY, "batched",
-        ExecutorSpec(kind=EXECUTOR_POOL, workers=1, chunk_size=3,
-                     transport=TRANSPORT_ARENA),
-    )),
-    "executor.overlap-requires-arena": _plan(StageBinding(
-        STAGE_ENTROPY, "fast",
-        ExecutorSpec(kind=EXECUTOR_POOL, workers=2, chunk_size=3,
-                     transport=TRANSPORT_PICKLE, overlap=True),
-    )),
-    "kernel.arena-requires-batched": _plan(
-        _pool(TRANSPORT_ARENA, impl="fast")
+    "executor.pool-requires-workers": _plan(
+        _pool_executor(workers=1), "batched", "fast"
     ),
-    "executor.transport-required": _plan(StageBinding(
-        STAGE_ENTROPY, "batched",
-        ExecutorSpec(kind=EXECUTOR_POOL, workers=2, chunk_size=3),
-    )),
-    "stage.unknown-impl": _plan(StageBinding(STAGE_ENTROPY, "quantum")),
+    "stage.unknown-impl": _plan(ExecutorSpec(), "quantum", "fast"),
 }
 
 
@@ -108,7 +96,10 @@ def workload(request):
         lossless=lossless, base_step=1 / 8,
     )
     data = encode_image(image, params)
-    decoder = Jpeg2000Decoder(data)  # the reference plan: inline fast
+    # The reference plan: reference kernel and reference Tier-2 inline.
+    decoder = Jpeg2000Decoder(
+        data, plan=MATRIX["inline-reference-tier2"]
+    )
     reference = decoder.decode()
     return data, reference, decoder.ops
 
@@ -132,14 +123,8 @@ def _dump_failing_plan(label, plan):
     return path
 
 
-@pytest.mark.parametrize("label", sorted(MATRIX))
-def test_every_valid_plan_is_byte_identical(label, workload):
-    data, reference, reference_ops = workload
-    plan = MATRIX[label]
-    assert validate_plan(plan) == [], f"matrix plan {label} must be valid"
-    decoder = Jpeg2000Decoder(data, plan=plan)
+def _check_identical(label, plan, decoder, image, reference, reference_ops):
     try:
-        image = decoder.decode()
         for ours, theirs in zip(image.components, reference.components):
             assert np.array_equal(ours, theirs), (
                 f"plan {label} ({plan.digest()[:12]}) diverged from the "
@@ -153,6 +138,85 @@ def test_every_valid_plan_is_byte_identical(label, workload):
         if dumped is not None:
             print(f"failing plan dumped to {dumped}")
         raise
+
+
+def test_matrix_covers_every_surviving_plan():
+    assert len(MATRIX) == 8
+    assert len({plan.digest() for plan in MATRIX.values()}) == 8
+
+
+@pytest.mark.parametrize("label", sorted(MATRIX))
+def test_every_valid_plan_is_byte_identical(label, workload):
+    data, reference, reference_ops = workload
+    plan = MATRIX[label]
+    assert validate_plan(plan) == [], f"matrix plan {label} must be valid"
+    decoder = Jpeg2000Decoder(data, plan=plan)
+    image = decoder.decode()
+    _check_identical(label, plan, decoder, image, reference, reference_ops)
+
+
+@pytest.mark.parametrize("label", POOL_PLANS)
+def test_every_pool_plan_survives_a_killed_worker(label, workload):
+    """Kill one worker of the cached pool between two decodes: the next
+    decode finds the pool broken, resumes through the in-process path,
+    records the rewrite, and is still byte- and op-identical."""
+    data, reference, reference_ops = workload
+    plan = MATRIX[label]
+    Jpeg2000Decoder(data, plan=plan).decode()  # warm: workers exist
+    pool = entropy._pool
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    deadline = time.monotonic() + 30.0
+    while not pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    decoder = Jpeg2000Decoder(data, plan=plan)
+    image = decoder.decode()
+    _check_identical(label, plan, decoder, image, reference, reference_ops)
+    rules = [
+        rewrite["rule"]
+        for rewrite in decoder.fates.fates[STAGE_ENTROPY]["rewrites"]
+    ]
+    assert rules == ["broken-pool-resume"]
+
+
+@pytest.fixture(scope="module")
+def wide_blocks():
+    """Code blocks past 30 bit planes next to ordinary ones, as one
+    source buffer plus segment-span specs, with the reference decode."""
+    rng = np.random.default_rng(31)
+    source = bytearray()
+    specs = []
+    for index, (width, height, orientation) in enumerate(
+        [(5, 7, "HL"), (4, 4, "LL"), (8, 3, "HH"), (6, 6, "LH"), (3, 9, "HL")]
+    ):
+        amplitude = 2 ** 33 if index % 2 == 0 else 100
+        coeffs = [
+            int(value)
+            for value in rng.integers(-amplitude, amplitude, width * height)
+        ]
+        coeffs[0] = amplitude
+        result = CodeBlockEncoder(coeffs, width, height, orientation).encode()
+        start = len(source)
+        source += result.data
+        specs.append((0, BlockSpec(
+            width, height, orientation, result.num_bitplanes, None,
+            ((start, len(source)),),
+        )))
+    assert max(spec.num_bitplanes for _, spec in specs) > 30
+    reference = entropy.run_specs(
+        [bytes(source)], specs, MATRIX["inline-reference"].stage(STAGE_ENTROPY)
+    )
+    return bytes(source), specs, reference
+
+
+@pytest.mark.parametrize("label", sorted(MATRIX))
+def test_every_valid_plan_decodes_wide_blocks(label, wide_blocks):
+    source, specs, (ref_flat, ref_offsets, ref_ops) = wide_blocks
+    binding = MATRIX[label].stage(STAGE_ENTROPY)
+    flat, offsets, ops = entropy.run_specs([source], specs, binding)
+    assert flat.dtype == np.int64
+    assert np.array_equal(flat, ref_flat)
+    assert np.array_equal(offsets, ref_offsets)
+    assert ops == ref_ops
 
 
 @pytest.mark.parametrize("rule", sorted(INVALID))

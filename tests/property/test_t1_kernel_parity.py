@@ -1,17 +1,18 @@
-"""Property-based parity: the optimised Tier-1 kernel vs the reference.
+"""Property-based parity: the batched Tier-1 kernel vs the reference.
 
-The fast kernel (``t1_fast``) exists purely for speed; these properties
-pin it to the readable specification kernel bit for bit — identical
-coefficients AND identical basic-operation counts (the Fig. 1 / Table 1
-cycle models read the op counter, so a drift there would silently skew
-the paper reproduction).
+The batched kernel (``t1_fast.decode_codeblock_batch``) exists purely
+for speed; these properties pin it to the readable specification kernel
+bit for bit — identical coefficients AND identical basic-operation
+counts (the Fig. 1 / Table 1 cycle models read the op counter, so a
+drift there would silently skew the paper reproduction).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.jpeg2000.t1 import CodeBlockDecoder, CodeBlockEncoder
-from repro.jpeg2000.t1_fast import FastCodeBlockDecoder, decode_codeblock_batch
+from repro.jpeg2000.t1_fast import decode_codeblock_batch
 
 
 @st.composite
@@ -42,32 +43,43 @@ def coded_blocks(draw):
     return data, width, height, orientation, result.num_bitplanes, num_passes, coeffs
 
 
+def _decode_single(data, width, height, orientation, num_bitplanes, num_passes):
+    """One block through the batched kernel (a batch of one)."""
+    out, (ops,) = decode_codeblock_batch(
+        [(data, width, height, orientation, num_bitplanes, num_passes, 0)]
+    )
+    return out.tolist(), ops
+
+
 @given(coded_blocks())
 @settings(max_examples=120, deadline=None)
-def test_fast_kernel_matches_reference(block):
+def test_batched_single_block_matches_reference(block):
     data, width, height, orientation, num_bitplanes, num_passes, _ = block
     reference = CodeBlockDecoder(data, width, height, orientation, num_bitplanes, num_passes)
-    fast = FastCodeBlockDecoder(data, width, height, orientation, num_bitplanes, num_passes)
-    assert fast.decode() == reference.decode()
-    assert fast.ops == reference.ops
+    values, ops = _decode_single(
+        data, width, height, orientation, num_bitplanes, num_passes
+    )
+    assert values == reference.decode()
+    assert ops == reference.ops
 
 
 @given(coded_blocks())
 @settings(max_examples=60, deadline=None)
-def test_fast_kernel_roundtrips_full_blocks(block):
+def test_batched_single_block_roundtrips_full_blocks(block):
     data, width, height, orientation, num_bitplanes, num_passes, coeffs = block
     if num_passes is not None:
         return  # truncated segments reconstruct approximations by design
-    fast = FastCodeBlockDecoder(data, width, height, orientation, num_bitplanes)
-    assert fast.decode() == coeffs
+    values, _ = _decode_single(data, width, height, orientation, num_bitplanes, None)
+    assert values == coeffs
 
 
 @given(st.lists(coded_blocks(), min_size=1, max_size=6))
 @settings(max_examples=50, deadline=None)
 def test_batched_kernel_matches_single_block_and_reference(blocks):
-    """The batched entry point is a pure re-scheduling of the fast kernel:
-    random geometries and pass counts must decode bit-for-bit like the
-    single-block fast kernel AND the reference kernel, op counts included.
+    """A multi-block batch is a pure re-scheduling of single-block
+    batches: random geometries and pass counts must decode bit-for-bit
+    like each block alone AND like the reference kernel, op counts
+    included.
     """
     batch = []
     offset = 0
@@ -83,17 +95,16 @@ def test_batched_kernel_matches_single_block_and_reference(blocks):
         data, width, height, orientation, num_bitplanes, num_passes, _ = block
         start = entry[6]
         batched_values = out[start : start + width * height].tolist()
-        fast = FastCodeBlockDecoder(
+        single_values, single_ops = _decode_single(
             data, width, height, orientation, num_bitplanes, num_passes
         )
         reference = CodeBlockDecoder(
             data, width, height, orientation, num_bitplanes, num_passes
         )
-        fast_values = fast.decode()
         reference_values = reference.decode()
-        assert batched_values == fast_values
+        assert batched_values == single_values
         assert batched_values == reference_values
-        assert batched_ops == fast.ops
+        assert batched_ops == single_ops
         assert batched_ops == reference.ops
 
 
@@ -115,3 +126,43 @@ def test_batched_kernel_writes_into_caller_buffer(blocks):
     auto, _ = decode_codeblock_batch(batch)
     assert out[:offset].tolist() == auto[:offset].tolist()
     assert out[offset:].tolist() == [0] * 5
+
+
+def _wide_block(width=5, height=7, orientation="HL"):
+    """A block whose magnitudes reach 2**31 and beyond (> 30 bit planes)."""
+    rng = np.random.default_rng(2008)
+    coeffs = [
+        int(value) for value in rng.integers(-(2 ** 33), 2 ** 33, width * height)
+    ]
+    coeffs[0] = 2 ** 31
+    coeffs[1] = -(2 ** 31)
+    result = CodeBlockEncoder(coeffs, width, height, orientation).encode()
+    assert result.num_bitplanes > 30
+    return result, coeffs, width, height, orientation
+
+
+def test_batched_kernel_decodes_more_than_30_bit_planes():
+    """Magnitudes of 2**31 and up do not fit int32: the batch switches to
+    an int64 output and still matches the reference bit for bit, op
+    counts included — alone and next to an ordinary block."""
+    result, coeffs, width, height, orientation = _wide_block()
+    small = CodeBlockEncoder([3, -1, 0, 7], 2, 2, "LL").encode()
+    batch = [
+        (small.data, 2, 2, "LL", small.num_bitplanes, None, 0),
+        (result.data, width, height, orientation, result.num_bitplanes, None, 4),
+    ]
+    out, ops = decode_codeblock_batch(batch)
+    assert out.dtype == np.int64
+    reference = CodeBlockDecoder(
+        result.data, width, height, orientation, result.num_bitplanes
+    )
+    assert out[4:].tolist() == reference.decode() == coeffs
+    assert ops[1] == reference.ops
+    assert out[:4].tolist() == [3, -1, 0, 7]
+
+
+def test_batched_kernel_rejects_narrow_buffer_for_wide_block():
+    result, _, width, height, orientation = _wide_block()
+    block = (result.data, width, height, orientation, result.num_bitplanes, None, 0)
+    with pytest.raises(ValueError, match="int64"):
+        decode_codeblock_batch([block], np.zeros(width * height, dtype=np.int32))

@@ -1,29 +1,49 @@
-"""Unit tests of the parallel entropy-decode scheduling layer."""
+"""Unit tests of the entropy stage's pool executor and its options.
+
+Everything runs through the stage API (:func:`run_tasks`,
+:func:`run_specs`, :func:`plan_chunks`, :func:`shutdown_pool`) or the
+decoder; pools are real worker processes (2 workers, forced with
+explicit pool bindings or ``oversubscribe``).
+"""
 
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.jpeg2000 import parallel
-from repro.jpeg2000.stages import entropy
-from repro.jpeg2000.parallel import (
+from repro.jpeg2000 import (
+    CodingParameters,
+    Jpeg2000Decoder,
+    encode_image,
+    synthetic_image,
+)
+from repro.jpeg2000 import options as options_module
+from repro.jpeg2000.options import (
     BlockSpec,
     DecodeOptions,
     KERNEL_BATCHED,
-    KERNEL_FAST,
     KERNEL_REFERENCE,
     ParallelDegradedWarning,
-    SharedArena,
-    _chunked,
-    decode_block,
-    decode_blocks,
-    decode_blocks_spec,
+)
+from repro.jpeg2000.plan import (
+    EXECUTOR_POOL,
+    STAGE_ENTROPY,
+    ExecutorSpec,
+    StageBinding,
+)
+from repro.jpeg2000.stages import entropy
+from repro.jpeg2000.stages.entropy import (
     plan_chunks,
+    run_specs,
+    run_tasks,
     shutdown_pool,
 )
 from repro.jpeg2000.t1 import CodeBlockEncoder
+
+START_METHODS = ["fork", "spawn"] if hasattr(os, "fork") else ["spawn"]
 
 
 def _encode_block(seed: int, width: int = 8, height: int = 8, orientation: str = "HH"):
@@ -36,9 +56,14 @@ def _encode_block(seed: int, width: int = 8, height: int = 8, orientation: str =
     )
 
 
+def _tasks(seeds):
+    tasks, expected = zip(*(_encode_block(seed) for seed in seeds))
+    return list(tasks), list(expected)
+
+
 def _spec_workload(seeds):
     """Encoded blocks as one concatenated source + segment-span specs."""
-    tasks, expected = zip(*(_encode_block(seed) for seed in seeds))
+    tasks, expected = _tasks(seeds)
     source = bytearray()
     specs = []
     for data, width, height, orientation, num_bitplanes, num_passes in tasks:
@@ -48,15 +73,43 @@ def _spec_workload(seeds):
             width, height, orientation, num_bitplanes, num_passes,
             ((start, start + len(data)),),
         )))
-    return bytes(source), specs, list(expected)
+    return bytes(source), specs, expected
+
+
+def _inline(kernel=KERNEL_BATCHED):
+    return StageBinding(STAGE_ENTROPY, kernel)
+
+
+def _pool(workers=2, chunk_size=2, kernel=KERNEL_BATCHED, start_method=None):
+    return StageBinding(STAGE_ENTROPY, kernel, ExecutorSpec(
+        kind=EXECUTOR_POOL, workers=workers, chunk_size=chunk_size,
+        start_method=start_method,
+    ))
+
+
+def _codestream(size=32, lossless=True, seed=5):
+    image = synthetic_image(size, size, 3, seed=seed)
+    params = CodingParameters(
+        width=size, height=size, num_components=3,
+        tile_width=size // 2, tile_height=size // 2, num_levels=2,
+        lossless=lossless, base_step=1 / 8,
+    )
+    return encode_image(image, params)
 
 
 class TestDecodeOptions:
-    def test_defaults_are_sequential_fast(self):
+    def test_defaults_are_sequential_batched(self):
         options = DecodeOptions()
         assert options.workers == 0
-        assert options.kernel == KERNEL_FAST
+        assert options.kernel == KERNEL_BATCHED
         assert not options.parallel
+
+    def test_exactly_six_fields_and_two_kernels(self):
+        assert list(DecodeOptions().as_dict()) == [
+            "workers", "chunk_size", "kernel", "start_method",
+            "oversubscribe", "tier2",
+        ]
+        assert options_module._KERNELS == (KERNEL_BATCHED, KERNEL_REFERENCE)
 
     def test_none_workers_uses_cpu_count(self):
         options = DecodeOptions(workers=None)
@@ -75,8 +128,9 @@ class TestDecodeOptions:
             DecodeOptions(chunk_size=0)
 
     def test_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            DecodeOptions(kernel="simd")
+        for kernel in ("simd", "fast"):
+            with pytest.raises(ValueError):
+                DecodeOptions(kernel=kernel)
 
     def test_single_worker_is_not_parallel(self):
         assert not DecodeOptions(workers=1).parallel
@@ -84,58 +138,47 @@ class TestDecodeOptions:
         assert DecodeOptions(workers=2).parallel == ((os.cpu_count() or 1) >= 2)
 
 
-class TestChunking:
-    def test_chunks_cover_in_order(self):
-        tasks = list(range(10))
-        chunks = list(_chunked(tasks, 4))
-        assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-
-    def test_single_chunk(self):
-        assert list(_chunked([1, 2], 8)) == [[1, 2]]
-
-
 class TestDecodeBlocks:
     def test_kernels_agree_per_block(self):
         task, coeffs = _encode_block(seed=1)
-        fast_values, fast_ops = decode_block(task, KERNEL_FAST)
-        ref_values, ref_ops = decode_block(task, KERNEL_REFERENCE)
-        assert fast_values.tolist() == coeffs
-        assert np.array_equal(fast_values, ref_values)
-        assert fast_ops == ref_ops
+        ((batched_values, batched_ops),) = run_tasks([task], _inline())
+        ((ref_values, ref_ops),) = run_tasks([task], _inline(KERNEL_REFERENCE))
+        assert batched_values.tolist() == coeffs
+        assert np.array_equal(batched_values, ref_values)
+        assert batched_ops == ref_ops
 
     def test_sequential_order_is_preserved(self):
-        tasks, expected = zip(*(_encode_block(seed) for seed in range(6)))
-        results = decode_blocks(list(tasks), DecodeOptions())
+        tasks, expected = _tasks(range(6))
+        results = run_tasks(tasks, _inline())
         assert len(results) == 6
         for (values, ops), coeffs in zip(results, expected):
             assert values.tolist() == coeffs
             assert ops > 0
 
     def test_pool_matches_sequential(self):
-        tasks, _ = zip(*(_encode_block(seed) for seed in range(9)))
-        sequential = decode_blocks(list(tasks), DecodeOptions())
-        pooled = decode_blocks(
-            list(tasks), DecodeOptions(workers=2, chunk_size=2)
-        )
-        assert len(pooled) == len(sequential)
-        for (seq_values, seq_ops), (par_values, par_ops) in zip(sequential, pooled):
-            assert np.array_equal(seq_values, par_values)
-            assert seq_ops == par_ops
+        tasks, _ = _tasks(range(9))
+        for kernel in (KERNEL_BATCHED, KERNEL_REFERENCE):
+            sequential = run_tasks(tasks, _inline(kernel))
+            pooled = run_tasks(tasks, _pool(kernel=kernel))
+            assert len(pooled) == len(sequential)
+            for (seq_values, seq_ops), (par_values, par_ops) in zip(
+                sequential, pooled
+            ):
+                assert np.array_equal(seq_values, par_values)
+                assert seq_ops == par_ops
         shutdown_pool()
 
     def test_empty_task_list(self):
-        assert decode_blocks([], DecodeOptions(workers=2)) == []
+        assert run_tasks([], _pool()) == []
 
     def test_pool_failure_falls_back_to_sequential(self, monkeypatch):
-        tasks, expected = zip(*(_encode_block(seed) for seed in range(3)))
+        tasks, expected = _tasks(range(3))
         monkeypatch.setattr(
             entropy, "_get_pool", lambda workers, start_method=None: None
         )
-        parallel._degradations_warned.clear()
-        with pytest.warns(parallel.ParallelDegradedWarning):
-            results = decode_blocks(
-                list(tasks), DecodeOptions(workers=4, oversubscribe=True)
-            )
+        options_module._degradations_warned.clear()
+        with pytest.warns(ParallelDegradedWarning):
+            results = run_tasks(tasks, _pool(workers=4))
         for (values, _), coeffs in zip(results, expected):
             assert values.tolist() == coeffs
 
@@ -164,19 +207,13 @@ class TestScheduleInfo:
         assert info["requested_workers"] == 4
         assert info["effective_workers"] == 1
         assert info["degraded"] is True
-        assert info["granularity"] == "codeblock/sequential"
 
     def test_oversubscribe_bypasses_clamp(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         options = DecodeOptions(workers=4, oversubscribe=True)
         assert options.effective_workers == 4
         assert not options.degraded
-        assert options.schedule_info()["granularity"] == "codeblock/size-aware"
-
-    def test_pickle_transport_granularity(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        options = DecodeOptions(workers=4, shared_memory=False)
-        assert options.schedule_info()["granularity"] == "codeblock/fixed"
+        assert options.schedule_info()["effective_workers"] == 4
 
     def test_rejects_unknown_start_method(self):
         with pytest.raises(ValueError):
@@ -184,16 +221,16 @@ class TestScheduleInfo:
 
     def test_degraded_request_warns_once(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        parallel._degradations_warned.clear()
-        tasks, _ = zip(*(_encode_block(seed) for seed in range(2)))
+        options_module._degradations_warned.clear()
+        data = _codestream()
         with pytest.warns(ParallelDegradedWarning):
-            decode_blocks(list(tasks), DecodeOptions(workers=4))
+            Jpeg2000Decoder(data, options=DecodeOptions(workers=4)).decode()
         # Deduplicated: the same degradation does not warn a second time.
         import warnings as warnings_module
 
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error", ParallelDegradedWarning)
-            decode_blocks(list(tasks), DecodeOptions(workers=4))
+            Jpeg2000Decoder(data, options=DecodeOptions(workers=4)).decode()
 
 
 class TestPlanChunks:
@@ -228,68 +265,27 @@ class TestBlockSpec:
         assert spec.size == 4
         assert spec.cost == 5
 
-    def test_rebased_shifts_spans(self):
-        spec = BlockSpec(2, 2, "HH", 3, None, ((1, 3),))
-        assert spec.rebased(10).segments == ((11, 13),)
-        assert spec.rebased(0) is spec
-
-
-class TestSharedArena:
-    def test_registry_and_sweep(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        arena = SharedArena(64)
-        assert arena.name in parallel._live_arenas
-        arena.buf[:4] = b"abcd"
-        assert bytes(arena.buf[:4]) == b"abcd"
-        shutdown_pool()
-        assert arena.name not in parallel._live_arenas
-
-    def test_destroy_is_idempotent(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        arena = SharedArena(16)
-        arena.destroy()
-        arena.destroy()
-        assert arena.name not in parallel._live_arenas
-
 
 class TestDecodeBlocksSpec:
-    @pytest.mark.parametrize("kernel", [KERNEL_FAST, KERNEL_BATCHED, KERNEL_REFERENCE])
+    @pytest.mark.parametrize("kernel", [KERNEL_BATCHED, KERNEL_REFERENCE])
     def test_sequential_kernels_agree(self, kernel):
         source, specs, expected = _spec_workload(range(6))
-        flat, offsets, ops = decode_blocks_spec(
-            [source], specs, DecodeOptions(kernel=kernel)
-        )
+        flat, offsets, ops = run_specs([source], specs, _inline(kernel))
         assert len(ops) == len(specs)
         for index, coeffs in enumerate(expected):
             start, end = int(offsets[index]), int(offsets[index + 1])
             assert flat[start:end].tolist() == coeffs
             assert ops[index] > 0
 
-    def test_shm_parallel_matches_sequential(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        source, specs, _ = _spec_workload(range(9))
-        seq_flat, seq_offsets, seq_ops = decode_blocks_spec(
-            [source], specs, DecodeOptions()
-        )
-        par_flat, par_offsets, par_ops = decode_blocks_spec(
-            [source], specs,
-            DecodeOptions(workers=2, chunk_size=2, oversubscribe=True),
-        )
-        assert np.array_equal(seq_flat, par_flat)
-        assert np.array_equal(seq_offsets, par_offsets)
-        assert seq_ops == par_ops
-        shutdown_pool()
-
     def test_pickle_parallel_matches_sequential(self):
         source, specs, _ = _spec_workload(range(7))
-        seq_flat, _, seq_ops = decode_blocks_spec([source], specs, DecodeOptions())
-        par_flat, _, par_ops = decode_blocks_spec(
-            [source], specs,
-            DecodeOptions(
-                workers=2, chunk_size=3, oversubscribe=True, shared_memory=False
-            ),
+        seq_flat, seq_offsets, seq_ops = run_specs([source], specs, _inline())
+        par_flat, par_offsets, par_ops = run_specs(
+            [source], specs, _pool(chunk_size=3)
         )
-        assert np.array_equal(seq_flat, np.asarray(par_flat))
+        assert np.array_equal(seq_flat, par_flat)
+        assert par_flat.dtype == seq_flat.dtype
+        assert np.array_equal(seq_offsets, par_offsets)
         assert seq_ops == par_ops
         shutdown_pool()
 
@@ -297,36 +293,23 @@ class TestDecodeBlocksSpec:
         source_a, specs_a, expected_a = _spec_workload(range(3))
         source_b, specs_b, expected_b = _spec_workload(range(10, 13))
         specs = [(0, spec) for _, spec in specs_a] + [(1, spec) for _, spec in specs_b]
-        flat, offsets, ops = decode_blocks_spec(
-            [source_a, source_b], specs, DecodeOptions()
-        )
+        flat, offsets, ops = run_specs([source_a, source_b], specs, _inline())
         expected = expected_a + expected_b
         for index, coeffs in enumerate(expected):
             start, end = int(offsets[index]), int(offsets[index + 1])
             assert flat[start:end].tolist() == coeffs
 
     def test_empty_spec_list(self):
-        flat, offsets, ops = decode_blocks_spec([b""], [], DecodeOptions(workers=2))
+        flat, offsets, ops = run_specs([b""], [], _pool())
         assert len(flat) == 0
         assert offsets.tolist() == [0]
         assert ops == []
-
-    def test_no_shm_segments_leak(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        source, specs, _ = _spec_workload(range(5))
-        decode_blocks_spec(
-            [source], specs, DecodeOptions(workers=2, oversubscribe=True)
-        )
-        assert parallel._live_arenas == {}
-        shutdown_pool()
 
 
 def _exploding_sequential(chunk, kernel, *, parent_pid, bomb_data, marker, real):
     """Fork-inherited bomb: kill the worker process on the marked chunk,
     but only after some other chunk has completed (so the resume path has
     something to resume from)."""
-    import time
-
     if os.getpid() != parent_pid and any(task[0] == bomb_data for task in chunk):
         deadline = time.monotonic() + 30.0
         while not os.path.exists(marker) and time.monotonic() < deadline:
@@ -340,38 +323,39 @@ def _exploding_sequential(chunk, kernel, *, parent_pid, bomb_data, marker, real)
     return result
 
 
+def _arm_bomb(monkeypatch, tmp_path, tasks):
+    """Patch the chunk decoder so the worker holding the last task dies
+    (fork start method, so the child inherits the patch)."""
+    if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only test
+        pytest.skip("fork start method unavailable")
+    marker = str(tmp_path / "chunk-done")
+    real = entropy._decode_tasks_sequential
+    parent_pid = os.getpid()
+    bomb_data = tasks[-1][0]
+
+    def bomb(chunk, kernel):
+        return _exploding_sequential(
+            chunk, kernel, parent_pid=parent_pid, bomb_data=bomb_data,
+            marker=marker, real=real,
+        )
+
+    shutdown_pool()  # the bomb must be in place before the fork
+    monkeypatch.setattr(entropy, "_decode_tasks_sequential", bomb)
+
+
 class TestBrokenPoolResume:
     def test_resumes_completed_chunks_after_worker_crash(
         self, tmp_path, monkeypatch
     ):
-        """Fault injection: one worker dies mid-run (fork start method, so
-        the child inherits the monkeypatched chunk decoder).  The fallback
-        must keep the completed chunks' results and re-decode only the
-        chunks the broken pool lost."""
-        if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only test
-            pytest.skip("fork start method unavailable")
-        tasks, expected = zip(*(_encode_block(seed) for seed in range(6)))
-        marker = str(tmp_path / "chunk-done")
-        real = entropy._decode_tasks_sequential
-        parent_pid = os.getpid()
-        bomb_data = tasks[-1][0]
-
-        def bomb(chunk, kernel):
-            return _exploding_sequential(
-                chunk, kernel, parent_pid=parent_pid, bomb_data=bomb_data,
-                marker=marker, real=real,
-            )
-
-        shutdown_pool()  # the bomb must be in place before the fork
-        monkeypatch.setattr(entropy, "_decode_tasks_sequential", bomb)
+        """Fault injection: one worker dies mid-run.  The fallback must
+        keep the completed chunks' results and re-decode only the chunks
+        the broken pool lost."""
+        tasks, expected = _tasks(range(6))
+        _arm_bomb(monkeypatch, tmp_path, tasks)
         recorder = telemetry.install()
         try:
-            results = decode_blocks(
-                list(tasks),
-                DecodeOptions(
-                    workers=2, chunk_size=1, oversubscribe=True,
-                    start_method="fork",
-                ),
+            results = run_tasks(
+                tasks, _pool(chunk_size=1, start_method="fork")
             )
         finally:
             telemetry.uninstall()
@@ -388,28 +372,44 @@ class TestBrokenPoolResume:
             counters.counter("jpeg2000.parallel.chunks_redecoded") < len(tasks)
         )
 
+    def test_pool_broken_before_submit_redecodes_every_chunk(self):
+        """A cached pool whose worker died between decodes is broken
+        before the next fan-out submits anything; every chunk is then
+        re-decoded in-process and the result is still exact."""
+        tasks, expected = _tasks(range(6))
+        binding = _pool(chunk_size=2)
+        run_tasks(tasks, binding)  # warm: workers exist
+        pool = entropy._pool
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 30.0
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        recorder = telemetry.install()
+        try:
+            results = run_tasks(tasks, binding)
+        finally:
+            telemetry.uninstall()
+            shutdown_pool()
+        assert [values.tolist() for values, _ in results] == expected
+        assert recorder.metrics.counter("jpeg2000.parallel.broken_pools") == 1
+
 
 class TestParallelObservability:
     """Worker events ride back with results and merge deterministically."""
 
     def test_pickle_transport_carries_worker_events(self):
-        tasks, _ = zip(*(_encode_block(seed) for seed in range(6)))
+        tasks, _ = _tasks(range(6))
         log = telemetry.install_log()
         try:
-            decode_blocks(
-                list(tasks),
-                DecodeOptions(workers=2, chunk_size=2, oversubscribe=True),
-            )
+            run_tasks(tasks, _pool(chunk_size=2))
         finally:
             telemetry.uninstall_log()
             shutdown_pool()
         (fanout,) = log.select("parallel.fanout")
-        assert fanout["transport"] == "pickle"
-        assert fanout["chunks"] == 3
         chunks = log.select("parallel.chunk_decoded")
-        assert len(chunks) == 3
+        assert len(chunks) == fanout["chunks"]
+        assert sum(record["blocks"] for record in chunks) == len(tasks)
         for record in chunks:
-            assert record["transport"] == "pickle"
             assert record["pid"] > 0
         assert log.select("parallel.gathered")
         # Merged events are one coherent stream: one run id, unique
@@ -418,40 +418,41 @@ class TestParallelObservability:
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
         assert {record["run_id"] for record in log.events} == {log.run_id}
 
-    def test_shm_transport_carries_worker_events(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        source, specs, _ = _spec_workload(range(6))
-        log = telemetry.install_log()
-        try:
-            decode_blocks_spec(
-                [source], specs,
-                DecodeOptions(workers=2, chunk_size=2, oversubscribe=True),
-            )
-        finally:
-            telemetry.uninstall_log()
-            shutdown_pool()
-        (fanout,) = log.select("parallel.fanout")
-        assert fanout["transport"] == "shm"
-        chunks = log.select("parallel.chunk_decoded")
-        assert chunks and all(r["transport"] == "shm" for r in chunks)
-        assert all(r["pid"] > 0 for r in chunks)
-
     def test_workers_send_no_events_when_log_disabled(self):
-        tasks, _ = zip(*(_encode_block(seed) for seed in range(4)))
+        tasks, _ = _tasks(range(4))
         kernel = DecodeOptions().kernel
-        results, events = parallel._decode_chunk((kernel, list(tasks), False))
+        pid, flat, ops, events = entropy._decode_chunk((kernel, tasks, False))
         assert events is None
-        assert len(results) == len(tasks)
+        assert pid == os.getpid()
+        assert len(ops) == len(tasks)
+        assert len(flat) == sum(task[1] * task[2] for task in tasks)
+
+    def test_pool_decode_records_worker_occupancy(self):
+        """Every pool fan-out feeds the per-worker occupancy histogram:
+        one observation per worker that decoded something, summing to
+        the number of blocks."""
+        tasks, _ = _tasks(range(8))
+        recorder = telemetry.install()
+        try:
+            run_tasks(tasks, _pool(chunk_size=2))
+        finally:
+            telemetry.uninstall()
+            shutdown_pool()
+        histogram = recorder.metrics.histograms()[
+            "jpeg2000.parallel.worker_blocks"
+        ]
+        assert 1 <= histogram.count <= 2
+        assert histogram.total == len(tasks)
 
     def test_degraded_counter_is_reason_labelled(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        parallel._degradations_warned.clear()
-        tasks, _ = zip(*(_encode_block(seed) for seed in range(2)))
+        options_module._degradations_warned.clear()
+        data = _codestream()
         recorder = telemetry.install()
         log = telemetry.install_log()
         try:
             with pytest.warns(ParallelDegradedWarning):
-                decode_blocks(list(tasks), DecodeOptions(workers=4))
+                Jpeg2000Decoder(data, options=DecodeOptions(workers=4)).decode()
         finally:
             telemetry.uninstall_log()
             telemetry.uninstall()
@@ -472,31 +473,17 @@ class TestCrashReport:
 
         from repro.telemetry.flight import FlightRecorder
 
-        if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only test
-            pytest.skip("fork start method unavailable")
-        tasks, expected = zip(*(_encode_block(seed) for seed in range(6)))
-        marker = str(tmp_path / "chunk-done")
-        real = entropy._decode_tasks_sequential
-        parent_pid = os.getpid()
-        bomb_data = tasks[-1][0]
-
-        def bomb(chunk, kernel):
-            return _exploding_sequential(
-                chunk, kernel, parent_pid=parent_pid, bomb_data=bomb_data,
-                marker=marker, real=real,
-            )
-
-        shutdown_pool()  # the bomb must be in place before the fork
-        monkeypatch.setattr(entropy, "_decode_tasks_sequential", bomb)
+        tasks, expected = _tasks(range(6))
+        _arm_bomb(monkeypatch, tmp_path, tasks)
         telemetry.install_log()
         telemetry.install_flight(FlightRecorder(crash_dir=tmp_path))
         try:
-            results = decode_blocks(
-                list(tasks),
-                DecodeOptions(
+            results = run_tasks(
+                tasks, _pool(chunk_size=1, start_method="fork"),
+                schedule=DecodeOptions(
                     workers=2, chunk_size=1, oversubscribe=True,
                     start_method="fork",
-                ),
+                ).schedule_info(),
             )
         finally:
             telemetry.uninstall_flight()
@@ -514,3 +501,74 @@ class TestCrashReport:
         assert "redecoded" in fates  # the lost chunk was re-decoded
         assert fates <= {"submitted", "done", "resumed", "redecoded"}
         assert report["context"]["schedule"]["effective_workers"] == 2
+        assert "arena" not in report["context"]
+
+
+@pytest.fixture(scope="module", params=[True, False], ids=["lossless", "lossy"])
+def codestream(request):
+    """A real 4-tile codestream for the end-to-end pool checks."""
+    return _codestream(size=96, lossless=request.param, seed=17)
+
+
+class TestPoolDecode:
+    """The real multi-process decode, end to end, against sequential."""
+
+    @staticmethod
+    def _decode(codestream, options):
+        decoder = Jpeg2000Decoder(codestream, options=options)
+        return decoder.decode(), decoder.ops
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_pool_decode_byte_identical(self, codestream, start_method):
+        shutdown_pool()
+        sequential, seq_ops = self._decode(codestream, DecodeOptions())
+        try:
+            pooled, par_ops = self._decode(
+                codestream,
+                DecodeOptions(
+                    workers=2, chunk_size=4, oversubscribe=True,
+                    start_method=start_method,
+                ),
+            )
+        finally:
+            shutdown_pool()
+        for ours, theirs in zip(pooled.components, sequential.components):
+            assert np.array_equal(ours, theirs)
+        assert par_ops.counts == seq_ops.counts
+
+    def test_worker_crash_resumes_byte_identical(self, codestream, monkeypatch):
+        """Simulated worker crash mid-decode: the first chunk a worker
+        picks up kills the process (fork start method, so the child
+        inherits the patched kernel).  The resume path must still
+        produce the byte-identical image and op counts."""
+        if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only
+            pytest.skip("fork start method unavailable")
+        sequential, seq_ops = self._decode(codestream, DecodeOptions())
+
+        parent_pid = os.getpid()
+        real = entropy.decode_codeblock_batch
+        state = {"killed": False}
+
+        def crashing_batch(batch, out=None):
+            if os.getpid() != parent_pid and not state["killed"]:
+                # Fork copies `state` into each worker: the first chunk a
+                # worker picks up crashes it; anything else succeeds.
+                state["killed"] = True
+                os._exit(1)
+            return real(batch, out)
+
+        shutdown_pool()  # the patch must be in place before the fork
+        monkeypatch.setattr(entropy, "decode_codeblock_batch", crashing_batch)
+        try:
+            crashed, crashed_ops = self._decode(
+                codestream,
+                DecodeOptions(
+                    workers=2, chunk_size=4, oversubscribe=True,
+                    start_method="fork",
+                ),
+            )
+        finally:
+            shutdown_pool()
+        for ours, theirs in zip(crashed.components, sequential.components):
+            assert np.array_equal(ours, theirs)
+        assert crashed_ops.counts == seq_ops.counts

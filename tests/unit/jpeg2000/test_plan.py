@@ -24,8 +24,6 @@ from repro.jpeg2000.plan import (
     STAGE_ORDER,
     STAGE_PARSE,
     STAGE_RECONSTRUCT,
-    TRANSPORT_ARENA,
-    TRANSPORT_PICKLE,
     DecodePlan,
     ExecutorSpec,
     PlanEnvironment,
@@ -34,26 +32,23 @@ from repro.jpeg2000.plan import (
     check_plan,
     compile_plan,
     degrade_to_inline,
-    degrade_to_pickle,
     options_for_plan,
     validate_plan,
-    without_overlap,
 )
 
 #: A host that can run everything (so validation exercises the plan, not
 #: the machine the tests happen to run on).
-BIG_HOST = PlanEnvironment(cpu_count=8, shared_memory_available=True)
-#: A host with no shared memory.
-NO_SHM_HOST = PlanEnvironment(cpu_count=8, shared_memory_available=False)
+BIG_HOST = PlanEnvironment(cpu_count=8)
+#: A two-CPU host.
+TWO_CPU_HOST = PlanEnvironment(cpu_count=2)
 #: A single-CPU host.
-SMALL_HOST = PlanEnvironment(cpu_count=1, shared_memory_available=True)
+SMALL_HOST = PlanEnvironment(cpu_count=1)
 
 
 def valid_pool_plan(**executor_overrides) -> DecodePlan:
     """A known-good parallel plan to perturb in validator tests."""
     fields = {
         "kind": EXECUTOR_POOL, "workers": 4, "chunk_size": 8,
-        "transport": TRANSPORT_ARENA, "overlap": True,
         **executor_overrides,
     }
     executor = ExecutorSpec(**fields)
@@ -65,32 +60,33 @@ def valid_pool_plan(**executor_overrides) -> DecodePlan:
     ))
 
 
-def rules_of(plan, env=BIG_HOST):
-    return {issue.rule for issue in validate_plan(plan, env)}
+def rules_of(plan):
+    return {issue.rule for issue in validate_plan(plan)}
 
 
 class TestCompileTotality:
     """compile_plan(options, env) validates for every constructible options."""
 
-    # The full cross product is ~1.5k combinations; cheap, and the whole
-    # point of a totality property.
+    # The full cross product is a few hundred combinations; cheap, and
+    # the whole point of a totality property.
     WORKERS = (0, 1, 2, 4, None)
-    KERNELS = ("fast", "batched", "reference")
+    KERNELS = ("batched", "reference")
     TIER2 = ("fast", "reference")
+    START_METHODS = (None, "fork", "spawn", "forkserver")
     BOOLS = (False, True)
 
-    @pytest.mark.parametrize("env", [BIG_HOST, NO_SHM_HOST, SMALL_HOST])
+    @pytest.mark.parametrize("env", [BIG_HOST, TWO_CPU_HOST, SMALL_HOST])
     def test_every_options_value_compiles_valid(self, env):
-        for workers, kernel, shm, tier2, overlap, oversub in itertools.product(
-            self.WORKERS, self.KERNELS, self.BOOLS, self.TIER2,
-            self.BOOLS, self.BOOLS,
+        for workers, kernel, tier2, start, oversub in itertools.product(
+            self.WORKERS, self.KERNELS, self.TIER2, self.START_METHODS,
+            self.BOOLS,
         ):
             options = DecodeOptions(
-                workers=workers, kernel=kernel, shared_memory=shm,
-                tier2=tier2, overlap=overlap, oversubscribe=oversub,
+                workers=workers, kernel=kernel, tier2=tier2,
+                start_method=start, oversubscribe=oversub,
             )
             plan = compile_plan(options, env)
-            issues = validate_plan(plan, env)
+            issues = validate_plan(plan)
             assert not issues, (
                 f"options {options} compiled to invalid plan on {env}: "
                 f"{[i.as_dict() for i in issues]}"
@@ -105,8 +101,8 @@ class TestCompileTotality:
         ex = plan.stage(STAGE_ENTROPY).executor
         assert ex.kind == EXECUTOR_POOL
         assert ex.workers == 4
-        assert ex.transport == TRANSPORT_ARENA
-        assert ex.overlap
+        assert ex.chunk_size == DecodeOptions().chunk_size
+        assert plan.stage(STAGE_ENTROPY).impl == "batched"
 
     def test_host_clamp_compiles_parallel_request_to_inline(self):
         # On a 1-CPU host without oversubscribe, workers=4 is clamped to
@@ -123,24 +119,6 @@ class TestCompileTotality:
     def test_workers_none_takes_env_cpu_count(self):
         plan = compile_plan(DecodeOptions(workers=None), BIG_HOST)
         assert plan.stage(STAGE_ENTROPY).executor.workers == BIG_HOST.cpu_count
-
-    def test_no_shared_memory_compiles_to_pickle_transport(self):
-        plan = compile_plan(DecodeOptions(workers=4), NO_SHM_HOST)
-        ex = plan.stage(STAGE_ENTROPY).executor
-        assert ex.transport == TRANSPORT_PICKLE
-        assert not ex.overlap  # streaming needs the arena
-
-    def test_arena_normalises_fast_kernel_to_batched(self):
-        # Arena workers always run the batched kernel; the plan records
-        # what actually executes.
-        plan = compile_plan(DecodeOptions(workers=4, kernel="fast"), BIG_HOST)
-        assert plan.stage(STAGE_ENTROPY).impl == "batched"
-
-    def test_pickle_transport_keeps_fast_kernel(self):
-        plan = compile_plan(
-            DecodeOptions(workers=4, kernel="fast"), NO_SHM_HOST
-        )
-        assert plan.stage(STAGE_ENTROPY).impl == "fast"
 
     def test_tier2_choice_lands_on_parse_stage(self):
         plan = compile_plan(DecodeOptions(tier2="reference"), BIG_HOST)
@@ -172,6 +150,16 @@ class TestCanonicalForm:
         assert plan.digest()[:12] in text.splitlines()[0]
         assert len(text.splitlines()) == 1 + len(plan.stages)
 
+    def test_executor_spec_has_four_fields(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(ExecutorSpec)] == [
+            "kind", "workers", "chunk_size", "start_method",
+        ]
+        assert list(INLINE.as_dict()) == [
+            "kind", "workers", "chunk_size", "start_method",
+        ]
+
     def test_stage_lookup_raises_on_unbound_stage(self):
         with pytest.raises(KeyError):
             DecodePlan(()).stage(STAGE_ENTROPY)
@@ -179,7 +167,7 @@ class TestCanonicalForm:
 
 class TestValidatorRules:
     def test_valid_plan_has_no_issues(self):
-        assert validate_plan(valid_pool_plan(), BIG_HOST) == []
+        assert validate_plan(valid_pool_plan()) == []
 
     def test_stage_missing(self):
         plan = DecodePlan(tuple(
@@ -218,16 +206,6 @@ class TestValidatorRules:
             valid_pool_plan(chunk_size=0)
         )
 
-    def test_transport_required(self):
-        assert "executor.transport-required" in rules_of(
-            valid_pool_plan(transport=None, overlap=False)
-        )
-
-    def test_unknown_transport(self):
-        assert "executor.unknown-transport" in rules_of(
-            valid_pool_plan(transport="carrier-pigeon", overlap=False)
-        )
-
     def test_unknown_start_method(self):
         assert "executor.unknown-start-method" in rules_of(
             valid_pool_plan(start_method="teleport")
@@ -235,39 +213,49 @@ class TestValidatorRules:
 
     def test_inline_carries_pool_config(self):
         plan = valid_pool_plan().with_stage(StageBinding(
-            STAGE_ENTROPY, "fast", ExecutorSpec(kind=EXECUTOR_INLINE, workers=4)
+            STAGE_ENTROPY, "batched", ExecutorSpec(kind=EXECUTOR_INLINE, workers=4)
         ))
         assert "executor.inline-carries-pool-config" in rules_of(plan)
 
     def test_stage_not_parallel(self):
         plan = valid_pool_plan().with_stage(StageBinding(
             STAGE_RECONSTRUCT, RECONSTRUCT_VECTORISED,
-            ExecutorSpec(
-                kind=EXECUTOR_POOL, workers=4, chunk_size=8,
-                transport=TRANSPORT_PICKLE,
-            ),
+            ExecutorSpec(kind=EXECUTOR_POOL, workers=4, chunk_size=8),
         ))
         assert "executor.stage-not-parallel" in rules_of(plan)
 
-    def test_overlap_requires_arena(self):
-        assert "executor.overlap-requires-arena" in rules_of(
-            valid_pool_plan(transport=TRANSPORT_PICKLE, overlap=True)
-        )
-
-    def test_arena_unavailable(self):
-        assert "executor.arena-unavailable" in rules_of(
-            valid_pool_plan(), NO_SHM_HOST
-        )
-
-    def test_arena_requires_batched(self):
+    def test_fast_kernel_id_is_gone(self):
         plan = valid_pool_plan().with_stage(StageBinding(
             STAGE_ENTROPY, "fast",
             valid_pool_plan().stage(STAGE_ENTROPY).executor,
         ))
-        assert "kernel.arena-requires-batched" in rules_of(plan)
+        assert "stage.unknown-impl" in rules_of(plan)
+
+    def test_rule_set_is_the_documented_nine(self):
+        """The validator emits exactly the nine rule codes its module
+        docstring documents."""
+        import inspect
+        import re
+
+        import repro.jpeg2000.plan as plan_module
+
+        emitted = set(re.findall(
+            r'rule="([a-z-]+\.[a-z-]+)"', inspect.getsource(plan_module)
+        ))
+        documented = set(re.findall(
+            r"^``([a-z-]+\.[a-z-]+)``", plan_module.__doc__, re.MULTILINE
+        ))
+        assert emitted == documented == {
+            "plan.stage-missing", "plan.stage-order", "stage.unknown-impl",
+            "executor.unknown-kind", "executor.pool-requires-workers",
+            "executor.pool-requires-chunking",
+            "executor.unknown-start-method",
+            "executor.inline-carries-pool-config",
+            "executor.stage-not-parallel",
+        }
 
     def test_issues_carry_paths(self):
-        issues = validate_plan(valid_pool_plan(workers=1), BIG_HOST)
+        issues = validate_plan(valid_pool_plan(workers=1))
         assert issues
         for issue in issues:
             record = issue.as_dict()
@@ -276,9 +264,9 @@ class TestValidatorRules:
 
     def test_check_plan_returns_plan_or_raises(self):
         plan = valid_pool_plan()
-        assert check_plan(plan, BIG_HOST) is plan
+        assert check_plan(plan) is plan
         with pytest.raises(PlanValidationError) as excinfo:
-            check_plan(valid_pool_plan(workers=1), BIG_HOST)
+            check_plan(valid_pool_plan(workers=1))
         assert "executor.pool-requires-workers" in str(excinfo.value)
         assert excinfo.value.issues
 
@@ -289,8 +277,8 @@ class TestOptionsRoundTrip:
         DecodeOptions(kernel="reference", tier2="reference"),
         DecodeOptions(workers=4),
         DecodeOptions(workers=4, kernel="reference", chunk_size=3),
-        DecodeOptions(workers=2, shared_memory=False, start_method="spawn"),
-        DecodeOptions(workers=6, overlap=False),
+        DecodeOptions(workers=2, start_method="spawn"),
+        DecodeOptions(workers=6, tier2="reference"),
     ])
     def test_compile_options_for_plan_reproduces_plan(self, options):
         plan = compile_plan(options, BIG_HOST)
@@ -307,32 +295,15 @@ class TestOptionsRoundTrip:
 
 
 class TestRewrites:
-    def test_degrade_to_pickle_drops_arena_and_overlap(self):
-        degraded = degrade_to_pickle(valid_pool_plan())
-        ex = degraded.stage(STAGE_ENTROPY).executor
-        assert ex.transport == TRANSPORT_PICKLE
-        assert not ex.overlap
-        assert ex.workers == 4  # pool preserved
-        assert validate_plan(degraded, NO_SHM_HOST) == []
-
     def test_degrade_to_inline_is_terminal(self):
         degraded = degrade_to_inline(valid_pool_plan())
         assert degraded.stage(STAGE_ENTROPY).executor == INLINE
 
-    def test_without_overlap_keeps_everything_else(self):
-        plan = valid_pool_plan()
-        barrier = without_overlap(plan)
-        assert not barrier.stage(STAGE_ENTROPY).executor.overlap
-        assert barrier.stage(STAGE_ENTROPY).executor.transport == TRANSPORT_ARENA
-        # Idempotent, and identity on non-overlapped plans.
-        assert without_overlap(barrier) == barrier
-
     def test_rewrites_only_touch_the_entropy_stage(self):
         plan = valid_pool_plan()
-        for rewrite in (degrade_to_pickle, degrade_to_inline, without_overlap):
-            rewritten = rewrite(plan)
-            for stage in (STAGE_PARSE, STAGE_RECONSTRUCT, STAGE_ASSEMBLE):
-                assert rewritten.stage(stage) == plan.stage(stage)
+        rewritten = degrade_to_inline(plan)
+        for stage in (STAGE_PARSE, STAGE_RECONSTRUCT, STAGE_ASSEMBLE):
+            assert rewritten.stage(stage) == plan.stage(stage)
 
 
 class TestOptionsCanonicalDict:
@@ -352,11 +323,9 @@ class TestOptionsCanonicalDict:
         {"workers": 2},
         {"chunk_size": 9},
         {"kernel": "reference"},
-        {"shared_memory": False},
         {"start_method": "spawn"},
         {"oversubscribe": True},
         {"tier2": "reference"},
-        {"overlap": False},
     ])
     def test_every_field_flip_changes_the_serialisation(self, flip):
         base = DecodeOptions(workers=4)
@@ -366,7 +335,7 @@ class TestOptionsCanonicalDict:
     def test_from_dict_round_trips(self):
         options = DecodeOptions(
             workers=None, kernel="reference", start_method="forkserver",
-            oversubscribe=True, overlap=False,
+            oversubscribe=True, tier2="reference",
         )
         assert DecodeOptions.from_dict(options.as_dict()) == options
 

@@ -59,14 +59,13 @@ def test_payload_includes_seed_anchor():
 
 def test_payload_carries_schedule_metadata():
     bench = DecodeBench({"tiles": 16}, baseline="reference")
-    bench.record("lossless", "parallel-shm-4", 3.0)
+    bench.record("lossless", "parallel-4", 3.0)
     bench.record_schedule(
-        "parallel-shm-4",
-        {"requested_workers": 4, "effective_workers": 1, "degraded": True,
-         "granularity": "codeblock/size-aware"},
+        "parallel-4",
+        {"requested_workers": 4, "effective_workers": 1, "degraded": True},
     )
     payload = bench.payload()
-    schedule = payload["schedules"]["parallel-shm-4"]
+    schedule = payload["schedules"]["parallel-4"]
     assert schedule["requested_workers"] == 4
     assert schedule["degraded"] is True
 
@@ -77,15 +76,15 @@ def test_payload_carries_plan_labels():
 
     plan = compile_plan(
         DecodeOptions(workers=4),
-        PlanEnvironment(cpu_count=8, shared_memory_available=True),
+        PlanEnvironment(cpu_count=8),
     )
     bench = DecodeBench({"tiles": 16}, baseline="reference")
-    bench.record("lossless", "parallel-shm-4", 3.0)
+    bench.record("lossless", "parallel-4", 3.0)
     bench.record_plan(
-        "parallel-shm-4", {"digest": plan.digest(), **plan.as_dict()}
+        "parallel-4", {"digest": plan.digest(), **plan.as_dict()}
     )
     payload = bench.payload()
-    record = payload["plans"]["parallel-shm-4"]
+    record = payload["plans"]["parallel-4"]
     assert record["digest"] == plan.digest()
     assert [s["stage"] for s in record["stages"]] == [
         "parse", "entropy", "reconstruct", "assemble",
@@ -113,10 +112,10 @@ def test_stage_shares_absent_when_not_recorded():
 
 def test_degraded_label_suffix():
     bench = DecodeBench({"tiles": 16}, baseline="reference")
-    bench.record_schedule("parallel-shm-4", {"degraded": True})
+    bench.record_schedule("parallel-4", {"degraded": True})
     bench.record_schedule("fast-sequential", {"degraded": False})
-    assert bench.degraded("parallel-shm-4")
-    assert bench.label("parallel-shm-4") == "parallel-shm-4 (degraded)"
+    assert bench.degraded("parallel-4")
+    assert bench.label("parallel-4") == "parallel-4 (degraded)"
     assert bench.label("fast-sequential") == "fast-sequential"
     assert bench.label("never-recorded") == "never-recorded"
 

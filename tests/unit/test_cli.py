@@ -227,21 +227,20 @@ class TestObservabilityCli:
         assert main(["plan", "decode", "--workers", "4", "--cpus", "8"]) == 0
         assert capsys.readouterr().out == first
         assert first.startswith("DecodePlan ")
-        assert "transport=arena" in first
+        assert "pool workers=4 chunk=8" in first
 
     def test_plan_decode_env_overrides_change_the_plan(self, capsys):
         import json
 
         assert main([
-            "plan", "decode", "--workers", "4", "--cpus", "8",
-            "--assume-no-shm", "--json",
+            "plan", "decode", "--workers", "4", "--cpus", "8", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         entropy = next(
             s for s in payload["stages"] if s["stage"] == "entropy"
         )
-        assert entropy["executor"]["transport"] == "pickle"
-        assert entropy["executor"]["overlap"] is False
+        assert entropy["executor"]["kind"] == "pool"
+        assert entropy["executor"]["workers"] == 4
         # Host clamp: 4 workers on a 1-CPU host compile to inline.
         assert main([
             "plan", "decode", "--workers", "4", "--cpus", "1", "--json",
@@ -263,10 +262,34 @@ class TestObservabilityCli:
         out = capsys.readouterr().out
         plan = compile_plan(
             DecodeOptions(workers=2, kernel="reference"),
-            PlanEnvironment(cpu_count=4, shared_memory_available=True),
+            PlanEnvironment(cpu_count=4),
         )
         assert out.splitlines()[0] == f"DecodePlan {plan.digest()[:12]}"
         assert out.rstrip().splitlines()[-1] == plan.canonical_json()
+
+    def test_plan_and_profile_default_to_the_library_kernel(self, capsys):
+        import json
+
+        from repro.jpeg2000.options import DecodeOptions
+
+        default = DecodeOptions().kernel
+        assert main(["plan", "decode", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        entropy = next(
+            s for s in payload["stages"] if s["stage"] == "entropy"
+        )
+        assert entropy["impl"] == default
+        assert main(["profile", "decode", "--size", "32"]) == 0
+        assert f"kernel={default}," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--kernel", "fast"], ["--no-shared-memory"], ["--no-overlap"],
+        ["--assume-no-shm"],
+    ])
+    def test_plan_decode_rejects_removed_options(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(["plan", "decode"] + argv)
+        capsys.readouterr()
 
     def test_plan_decode_appends_ledger_record(
         self, tmp_path, monkeypatch, capsys
