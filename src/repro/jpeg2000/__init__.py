@@ -7,12 +7,12 @@ assembled into an encoder (to fabricate test material) and the decoder whose
 five stages (Fig. 1) the OSSS models distribute across hardware and software.
 
 Decoding is plan-driven: :func:`compile_plan` turns a
-:class:`DecodeOptions` value (plus the host environment) into an
-explicit, statically validated :class:`DecodePlan` — stages
-``parse → entropy → reconstruct → assemble``, each bound to an
-implementation and an executor — which the decoder executes.  Each
-stage has one reference implementation (the oracle) plus at most one
-refined one; :func:`shutdown_pool` tears down the entropy stage's
+:class:`DecodeOptions` value (plus the host CPU count) into an explicit
+:class:`DecodePlan` — stages ``parse → entropy → reconstruct →
+assemble``, each bound to an implementation and an executor — which the
+decoder executes.  Plans are only ever compiled, never hand-built.
+Each stage has one reference implementation (the oracle) plus at most
+one refined one; :func:`shutdown_pool` tears down the entropy stage's
 cached worker pool.
 """
 
@@ -32,18 +32,7 @@ from .options import (
     DecodeOptions,
     ParallelDegradedWarning,
 )
-from .plan import (
-    DecodePlan,
-    ExecutorSpec,
-    PlanEnvironment,
-    PlanIssue,
-    PlanValidationError,
-    StageBinding,
-    check_plan,
-    compile_plan,
-    options_for_plan,
-    validate_plan,
-)
+from .plan import DecodePlan, ExecutorSpec, StageBinding, compile_plan
 from .stages.entropy import shutdown_pool
 from .image import Image, TileGrid, synthetic_image
 from .transcode import TranscodeError, drop_layers
@@ -73,9 +62,6 @@ __all__ = [
     "KERNEL_BATCHED",
     "KERNEL_REFERENCE",
     "ParallelDegradedWarning",
-    "PlanEnvironment",
-    "PlanIssue",
-    "PlanValidationError",
     "STAGE_ARITH",
     "STAGE_DC",
     "STAGE_ICT",
@@ -87,15 +73,12 @@ __all__ = [
     "TilePart",
     "TileStages",
     "TranscodeError",
-    "check_plan",
     "compile_plan",
     "decode_codestream",
     "drop_layers",
     "encode_image",
-    "options_for_plan",
     "parse_codestream",
     "shutdown_pool",
     "synthetic_image",
-    "validate_plan",
     "write_codestream",
 ]

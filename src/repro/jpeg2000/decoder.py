@@ -8,14 +8,13 @@ OSSS case-study models distribute exactly these stages between software
 tasks and hardware Shared Objects.
 
 Decoding is *plan-driven*: the caller's
-:class:`~repro.jpeg2000.options.DecodeOptions` (or an explicit
-:class:`~repro.jpeg2000.plan.DecodePlan`) is compiled and statically
-validated up front, and the plan is executed by the
-:mod:`~repro.jpeg2000.driver` over the stage modules
-(:mod:`~repro.jpeg2000.stages`) — the same plan → validate → execute
-discipline the paper's seamless refinement applies to the hardware
-design, and the reason no decode path here hides behind an ``if``
-ladder.
+:class:`~repro.jpeg2000.options.DecodeOptions` is compiled up front into
+a :class:`~repro.jpeg2000.plan.DecodePlan`, and the plan is executed by
+the :mod:`~repro.jpeg2000.driver` over the stage modules
+(:mod:`~repro.jpeg2000.stages`) — the same specification → compiled
+refinement → execute discipline the paper's seamless refinement applies
+to the hardware design, and the reason no decode path here hides behind
+an ``if`` ladder.
 
 Every stage reports basic-operation counts (see ``pipeline.StageOps``)
 used by the profiling model that reconstructs Fig. 1.
@@ -48,23 +47,12 @@ from .pipeline import (
     STAGE_IQ,
     StageOps,
 )
-from .plan import (
-    STAGE_ASSEMBLE,
-    STAGE_ENTROPY,
-    DecodePlan,
-    check_plan,
-    compile_plan,
-    options_for_plan,
-)
+from .plan import STAGE_ASSEMBLE, STAGE_ENTROPY, compile_plan
 from .stages import assemble as assemble_stage
 from .stages import entropy as entropy_stage
 from .stages import parse as parse_stage
 from .stages import reconstruct as reconstruct_stage
 from .stages.reconstruct import DecodedBand
-
-#: Legacy import sites (transcode, tests) get these from here.
-qcd_delta = parse_stage.qcd_delta
-_band_bounds = parse_stage.band_bounds
 
 
 @dataclass
@@ -202,9 +190,8 @@ class Jpeg2000Decoder:
     for rate exactly as a network transcoder would by dropping packets.
 
     Scheduling is decided once, up front: ``options`` is compiled into a
-    :class:`~repro.jpeg2000.plan.DecodePlan` (or an explicit ``plan`` is
-    taken as-is) and statically validated before any worker spawns; the
-    compiled plan's digest is what benchmarks and ledgers record.
+    :class:`~repro.jpeg2000.plan.DecodePlan` before any worker spawns;
+    the compiled plan's digest is what benchmarks and ledgers record.
     """
 
     def __init__(
@@ -213,20 +200,12 @@ class Jpeg2000Decoder:
         max_layers: Optional[int] = None,
         max_resolution: Optional[int] = None,
         options: Optional[DecodeOptions] = None,
-        plan: Optional[DecodePlan] = None,
     ):
         self.codestream: Codestream = parse_codestream(data)
         self.max_layers = max_layers
         self.max_resolution = max_resolution
-        if plan is not None:
-            check_plan(plan)
-            self.plan = plan
-            self.options = (
-                options if options is not None else options_for_plan(plan)
-            )
-        else:
-            self.options = options if options is not None else DEFAULT_OPTIONS
-            self.plan = check_plan(compile_plan(self.options))
+        self.options = options if options is not None else DEFAULT_OPTIONS
+        self.plan = compile_plan(self.options)
         if max_resolution is not None and max_resolution < 0:
             raise ValueError("max_resolution must be non-negative")
         self.ops = StageOps()
@@ -306,23 +285,19 @@ class Jpeg2000Decoder:
         return self._decode_image(grid)
 
     def _decode_image(self, grid: TileGrid) -> Image:
-        params = self.parameters
-        if self.max_resolution is None:
-            tile_planes = self._tile_planes(grid)
-            self.fates.begin(STAGE_ASSEMBLE)
-            image = assemble_stage.assemble_full(grid, params, tile_planes)
-        else:
-            tile_planes = self._tile_planes(grid)
-            self.fates.begin(STAGE_ASSEMBLE)
-            image = assemble_stage.assemble_reduced(grid, params, tile_planes)
+        assemble = (
+            assemble_stage.assemble_full if self.max_resolution is None
+            else assemble_stage.assemble_reduced
+        )
+        tile_planes = self._tile_planes(grid)
+        self.fates.begin(STAGE_ASSEMBLE)
+        image = assemble(grid, self.parameters, tile_planes)
         self.fates.done(STAGE_ASSEMBLE)
         return image
 
 
 def decode_codestream(
-    data: bytes,
-    options: Optional[DecodeOptions] = None,
-    plan: Optional[DecodePlan] = None,
+    data: bytes, options: Optional[DecodeOptions] = None
 ) -> Image:
     """Convenience one-shot decode (plan-compile + execute)."""
-    return Jpeg2000Decoder(data, options=options, plan=plan).decode()
+    return Jpeg2000Decoder(data, options=options).decode()

@@ -1,6 +1,6 @@
 """The decode-plan driver: one schedule for every plan.
 
-Executes a compiled, validated :class:`~repro.jpeg2000.plan.DecodePlan`
+Executes a compiled :class:`~repro.jpeg2000.plan.DecodePlan`
 over a list of per-tile ``TileStages`` drivers, and keeps the
 :class:`StageFates` record of what actually ran.  The stage modules only
 ever see their own slice of the plan.

@@ -4,7 +4,7 @@
 frozen, canonically-serialisable record of how the caller wants the
 entropy stage scheduled (workers, chunking, kernel, start method,
 Tier-2 parser).  The planner (:mod:`repro.jpeg2000.plan`) compiles it
-— together with the host environment — into an explicit
+— together with the host CPU count — into an explicit
 :class:`~repro.jpeg2000.plan.DecodePlan`; nothing below the planner
 reads :class:`DecodeOptions` directly.
 
@@ -137,16 +137,22 @@ class DecodeOptions:
         """The worker count as asked for, before any host clamping."""
         return (os.cpu_count() or 1) if self.workers is None else self.workers
 
+    def workers_on(self, cpu_count: Optional[int] = None) -> int:
+        """The worker count on a host with *cpu_count* CPUs (``None`` =
+        ``os.cpu_count()``): the one host clamp.
+
+        Clamped to the CPU count unless oversubscription is explicitly
+        requested: extra workers only add pool and transport overhead.
+        A clamp that turns a parallel request sequential is *reported*
+        (ParallelDegradedWarning) by the decode entry points.
+        """
+        cpus = (os.cpu_count() or 1) if cpu_count is None else cpu_count
+        requested = cpus if self.workers is None else self.workers
+        return requested if self.oversubscribe else min(requested, cpus)
+
     @property
     def effective_workers(self) -> int:
-        # Clamped to the host's CPU count unless oversubscription is
-        # explicitly requested: extra workers only add pool and transport
-        # overhead.  A clamp that turns a parallel request sequential is
-        # *reported* (ParallelDegradedWarning) by the decode entry points.
-        requested = self.requested_workers
-        if self.oversubscribe:
-            return requested
-        return min(requested, os.cpu_count() or 1)
+        return self.workers_on()
 
     @property
     def parallel(self) -> bool:

@@ -1,10 +1,11 @@
-"""The decode plan IR: plan → validate → execute.
+"""The decode plan IR: options → plan → execute.
 
 The paper's method is *seamless refinement*: one explicitly staged
-design, refined across abstraction levels without rewrites.  This module
-gives the software decoder the same discipline.  A
-:class:`DecodePlan` is a small frozen intermediate representation of one
-decode run — the four pipeline stages
+design, refined across abstraction levels without rewrites, every lower
+level produced by the flow rather than written beside it.  This module
+gives the software decoder the same discipline.  A :class:`DecodePlan`
+is a small frozen intermediate representation of one decode run — the
+four pipeline stages
 
     ``parse → entropy → reconstruct → assemble``
 
@@ -12,53 +13,24 @@ each bound to an implementation id and an executor (inline, or a worker
 pool with start method and chunking).  Every stage has one reference
 implementation (the oracle) plus at most one refined one: the entropy
 stage binds the ``batched`` or the ``reference`` Tier-1 kernel, the
-parse stage the ``fast`` or the ``reference`` Tier-2 reader.  The
-planner (:func:`compile_plan`) compiles a
-:class:`~repro.jpeg2000.options.DecodeOptions` value plus the host
-environment (CPU count) into a plan; the static validator
-(:func:`validate_plan` / :func:`check_plan`) rejects
-impossible combinations *before* any worker spawns, with machine-readable
-rule codes in the style of :mod:`repro.design.validate`.
+parse stage the ``fast`` or the ``reference`` Tier-2 reader.
 
-Validation rules
-----------------
-
-``plan.stage-missing``              a pipeline stage is not bound
-``plan.stage-order``                stages out of order or duplicated
-``stage.unknown-impl``              impl id not registered for the stage
-``executor.unknown-kind``           executor kind not inline/pool
-``executor.pool-requires-workers``  pool executor with fewer than 2 workers
-``executor.pool-requires-chunking`` pool executor with chunk_size < 1
-``executor.unknown-start-method``   start method not fork/spawn/forkserver
-``executor.inline-carries-pool-config``
-                                    inline executor with workers/chunking/
-                                    start method set (non-canonical)
-``executor.stage-not-parallel``     pool executor on a stage other than
-                                    entropy (only the entropy stage fans out)
-
+Plans are only ever compiled: :func:`compile_plan` lowers a
+:class:`~repro.jpeg2000.options.DecodeOptions` value (whose constructor
+already rejects every unknown field value) plus the host CPU count into
+a plan, and is total, so there is no hand-built plan to validate.
 Runtime degradations (pool unusable → inline, broken-pool resume) are
-recorded by the driver in the per-stage fate map;
-:func:`degrade_to_inline` is the pool → inline rewrite as a plan
-transformation, testable in isolation.
+recorded by the driver in the per-stage fate map.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from .options import (
-    DEFAULT_OPTIONS,
-    KERNEL_BATCHED,
-    KERNEL_REFERENCE,
-    TIER2_FAST,
-    TIER2_REFERENCE,
-    _START_METHODS,
-    DecodeOptions,
-)
+from .options import DEFAULT_OPTIONS, DecodeOptions
 
 #: The pipeline stages, in execution order.
 STAGE_PARSE = "parse"
@@ -71,18 +43,9 @@ STAGE_ORDER = (STAGE_PARSE, STAGE_ENTROPY, STAGE_RECONSTRUCT, STAGE_ASSEMBLE)
 EXECUTOR_INLINE = "inline"
 EXECUTOR_POOL = "pool"
 
-#: Reconstruction / assembly implementation ids (single registered impl
-#: each today; the registry exists so refinements slot in as new ids).
+#: Reconstruction / assembly implementation ids (one implementation each).
 RECONSTRUCT_VECTORISED = "vectorised"
 ASSEMBLE_MOSAIC = "mosaic"
-
-#: Registered implementation ids per stage.
-STAGE_IMPLS = {
-    STAGE_PARSE: (TIER2_FAST, TIER2_REFERENCE),
-    STAGE_ENTROPY: (KERNEL_BATCHED, KERNEL_REFERENCE),
-    STAGE_RECONSTRUCT: (RECONSTRUCT_VECTORISED,),
-    STAGE_ASSEMBLE: (ASSEMBLE_MOSAIC,),
-}
 
 
 @dataclass(frozen=True)
@@ -142,8 +105,8 @@ class StageBinding:
 
 @dataclass(frozen=True)
 class DecodePlan:
-    """An explicit, validatable decode pipeline: the unit the driver
-    executes, the benchmark labels, and the ledger records."""
+    """An explicit decode pipeline: the unit the driver executes, the
+    benchmark labels, and the ledger records."""
 
     stages: tuple = ()
 
@@ -152,13 +115,6 @@ class DecodePlan:
             if binding.stage == name:
                 return binding
         raise KeyError(f"plan binds no stage {name!r}")
-
-    def with_stage(self, binding: StageBinding) -> "DecodePlan":
-        """A new plan with the same-named stage replaced by *binding*."""
-        return DecodePlan(tuple(
-            binding if existing.stage == binding.stage else existing
-            for existing in self.stages
-        ))
 
     def as_dict(self) -> dict:
         """Canonical plain-data form (stable key order, JSON-safe)."""
@@ -187,162 +143,23 @@ class DecodePlan:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class PlanEnvironment:
-    """The host facts the planner consults."""
-
-    cpu_count: int = 1
-
-    @classmethod
-    def detect(cls) -> "PlanEnvironment":
-        return cls(cpu_count=os.cpu_count() or 1)
-
-
 # --------------------------------------------------------------------------
-# validation (rule/path-coded issues, in the design/validate.py style)
-# --------------------------------------------------------------------------
-
-
-class PlanIssue(str):
-    """One validation finding; a str with ``rule`` and ``path`` codes."""
-
-    __slots__ = ("rule", "path")
-
-    def __new__(cls, message: str, rule: str = "generic", path: str = "plan"):
-        issue = super().__new__(cls, message)
-        issue.rule = rule
-        issue.path = path
-        return issue
-
-    def as_dict(self) -> dict:
-        return {"rule": self.rule, "path": self.path, "message": str(self)}
-
-
-class PlanValidationError(ValueError):
-    """An invalid decode plan, carrying every issue found."""
-
-    def __init__(self, issues):
-        self.issues = list(issues)
-        bullets = "\n".join(f"  - [{i.rule}] {i.path}: {i}" for i in self.issues)
-        super().__init__(
-            f"invalid decode plan ({len(self.issues)} issue(s)):\n{bullets}"
-        )
-
-
-class _Collector:
-    def __init__(self):
-        self.issues: list = []
-
-    def __call__(self, message: str, rule: str, path: str) -> None:
-        self.issues.append(PlanIssue(message, rule=rule, path=path))
-
-
-def validate_plan(plan: DecodePlan) -> list:
-    """Every issue that makes *plan* unexecutable (static).
-
-    No rule depends on the host: clamping to the CPU count is the
-    planner's job.
-    """
-    issue = _Collector()
-    bound = [binding.stage for binding in plan.stages]
-    for name in STAGE_ORDER:
-        if name not in bound:
-            issue(
-                f"stage {name!r} is not bound",
-                rule="plan.stage-missing", path="plan.stages",
-            )
-    if bound != [name for name in STAGE_ORDER if name in bound] or (
-        len(bound) != len(set(bound))
-    ):
-        issue(
-            f"stages must appear once each, in order {STAGE_ORDER}; "
-            f"got {tuple(bound)}",
-            rule="plan.stage-order", path="plan.stages",
-        )
-    for binding in plan.stages:
-        _validate_binding(binding, issue)
-    return issue.issues
-
-
-def _validate_binding(binding: StageBinding, issue: _Collector) -> None:
-    stage = binding.stage
-    impls = STAGE_IMPLS.get(stage)
-    if impls is not None and binding.impl not in impls:
-        issue(
-            f"unknown impl {binding.impl!r} for stage {stage!r}; "
-            f"registered: {impls}",
-            rule="stage.unknown-impl", path=f"{stage}.impl",
-        )
-    ex = binding.executor
-    path = f"{stage}.executor"
-    if ex.kind not in (EXECUTOR_INLINE, EXECUTOR_POOL):
-        issue(
-            f"unknown executor kind {ex.kind!r}",
-            rule="executor.unknown-kind", path=path,
-        )
-        return
-    if ex.start_method not in _START_METHODS:
-        issue(
-            f"unknown start method {ex.start_method!r}; "
-            f"expected one of {_START_METHODS}",
-            rule="executor.unknown-start-method", path=path,
-        )
-    if ex.kind == EXECUTOR_INLINE:
-        if ex.workers or ex.chunk_size or ex.start_method is not None:
-            issue(
-                "inline executors carry no pool configuration "
-                "(workers/chunking/start method)",
-                rule="executor.inline-carries-pool-config", path=path,
-            )
-        return
-    # pool executor
-    if stage != STAGE_ENTROPY:
-        issue(
-            f"stage {stage!r} cannot fan out; only the entropy stage "
-            "(independent EBCOT code blocks) is parallel",
-            rule="executor.stage-not-parallel", path=path,
-        )
-    if ex.workers < 2:
-        issue(
-            f"pool executor needs at least 2 workers, got {ex.workers}",
-            rule="executor.pool-requires-workers", path=path,
-        )
-    if ex.chunk_size < 1:
-        issue(
-            f"pool executor needs chunk_size >= 1, got {ex.chunk_size}",
-            rule="executor.pool-requires-chunking", path=path,
-        )
-
-
-def check_plan(plan: DecodePlan) -> DecodePlan:
-    """*plan* unchanged if valid; raises :class:`PlanValidationError`."""
-    issues = validate_plan(plan)
-    if issues:
-        raise PlanValidationError(issues)
-    return plan
-
-
-# --------------------------------------------------------------------------
-# the planner: DecodeOptions + environment -> validated DecodePlan
+# the planner: DecodeOptions + host CPU count -> DecodePlan
 # --------------------------------------------------------------------------
 
 
 def compile_plan(options: DecodeOptions = DEFAULT_OPTIONS,
-                 env: Optional[PlanEnvironment] = None) -> DecodePlan:
-    """Compile *options* into a valid plan for *env*.
+                 cpu_count: Optional[int] = None) -> DecodePlan:
+    """Compile *options* into the plan a host with *cpu_count* CPUs runs.
 
-    The compilation is total: every constructible
-    :class:`DecodeOptions` value yields a plan that passes
-    :func:`validate_plan` (a property the test suite pins).  Host clamping happens here — a parallel request on a
-    1-CPU host compiles to an inline entropy executor — and the *report*
-    of that degradation stays with the decode entry points
-    (``ParallelDegradedWarning``), not the planner, which is pure.
+    ``cpu_count=None`` means ``os.cpu_count()``.  Compilation is total:
+    every constructible :class:`DecodeOptions` value yields a plan, and
+    plans come from nowhere else.  Host clamping happens here — a
+    parallel request on a 1-CPU host compiles to an inline entropy
+    executor — and the *report* of that degradation stays with the
+    decode entry points (``ParallelDegradedWarning``), not the planner.
     """
-    env = env if env is not None else PlanEnvironment.detect()
-    requested = (
-        env.cpu_count if options.workers is None else options.workers
-    )
-    workers = requested if options.oversubscribe else min(requested, env.cpu_count)
+    workers = options.workers_on(cpu_count)
     parse = StageBinding(STAGE_PARSE, options.tier2)
     if workers > 1:
         executor = ExecutorSpec(
@@ -360,38 +177,3 @@ def compile_plan(options: DecodeOptions = DEFAULT_OPTIONS,
         StageBinding(STAGE_RECONSTRUCT, RECONSTRUCT_VECTORISED),
         StageBinding(STAGE_ASSEMBLE, ASSEMBLE_MOSAIC),
     ))
-
-
-def options_for_plan(plan: DecodePlan) -> DecodeOptions:
-    """The :class:`DecodeOptions` value equivalent to *plan*.
-
-    Best-effort inverse of :func:`compile_plan` — pinned by a round-trip
-    property in the test suite: for any valid plan,
-    ``compile_plan(options_for_plan(p), env)`` reproduces ``p``.  Lets
-    callers hand the decoder a plan directly while schedule reporting
-    keeps working.
-    """
-    parse = plan.stage(STAGE_PARSE)
-    entropy = plan.stage(STAGE_ENTROPY)
-    ex = entropy.executor
-    if ex.kind == EXECUTOR_POOL:
-        return DecodeOptions(
-            workers=ex.workers,
-            chunk_size=ex.chunk_size,
-            kernel=entropy.impl,
-            start_method=ex.start_method,
-            oversubscribe=True,
-            tier2=parse.impl,
-        )
-    return DecodeOptions(kernel=entropy.impl, tier2=parse.impl)
-
-
-# --------------------------------------------------------------------------
-# plan rewrites
-# --------------------------------------------------------------------------
-
-
-def degrade_to_inline(plan: DecodePlan) -> DecodePlan:
-    """pool → inline: the terminal fallback when no pool exists."""
-    entropy = plan.stage(STAGE_ENTROPY)
-    return plan.with_stage(replace(entropy, executor=INLINE))

@@ -30,7 +30,7 @@ SCHEMA_VERSION = 1
 #: ``stage_shares`` block (t2_parse / t1_decode / idwt / dequant_mct /
 #: gather wall-time fractions) so each recorded number carries its own
 #: Amdahl decomposition.  v4 added the per-variant ``plans`` block (the
-#: compiled, validated DecodePlan and its digest) so every row is
+#: compiled DecodePlan and its digest) so every row is
 #: labelled by the exact plan that produced it, not just the options
 #: that requested it.  v5 dropped the ``granularity``, ``shared_memory``
 #: and ``overlap`` schedule fields (one pool transport and one schedule

@@ -1,14 +1,12 @@
 """The plan-matrix differential suite (the decode-identity guarantee).
 
-Every *valid* decode plan — inline or pool executor × batched or
-reference Tier-1 kernel × fast or reference Tier-2 parser — must produce
-the byte-identical image and identical basic-operation counts as the
-reference plan on the same 4-tile workload, in both case-study modes
-(lossless 5/3 and lossy 9/7).  The same holds for code blocks with more
-than 30 bit planes (magnitudes past ``int32``) and after a worker of a
-pool plan is killed.  Invalid stage/executor combinations must be
-rejected *statically*, with their documented rule codes, before any
-worker spawns.
+Every decode plan — inline or pool executor × batched or reference
+Tier-1 kernel × fast or reference Tier-2 parser, each compiled from the
+``DecodeOptions`` that request it — must produce the byte-identical
+image and identical basic-operation counts as the reference plan on the
+same 4-tile workload, in both case-study modes (lossless 5/3 and lossy
+9/7).  The same holds for code blocks with more than 30 bit planes
+(magnitudes past ``int32``) and after a worker of a pool plan is killed.
 
 When a plan fails the identity check its canonical JSON is dumped to
 ``$PLAN_MATRIX_DUMP_DIR`` (CI uploads it as an artifact); the matrix
@@ -35,15 +33,7 @@ from repro.jpeg2000 import (
     synthetic_image,
 )
 from repro.jpeg2000.options import BlockSpec
-from repro.jpeg2000.plan import (
-    EXECUTOR_POOL,
-    STAGE_ENTROPY,
-    ExecutorSpec,
-    PlanValidationError,
-    StageBinding,
-    compile_plan,
-    validate_plan,
-)
+from repro.jpeg2000.plan import STAGE_ENTROPY, compile_plan
 from repro.jpeg2000.stages import entropy
 from repro.jpeg2000.t1 import CodeBlockEncoder
 
@@ -51,39 +41,27 @@ from repro.jpeg2000.t1 import CodeBlockEncoder
 START_METHOD = os.environ.get("PLAN_MATRIX_START_METHOD") or None
 
 
-def _pool_executor(workers=2):
-    return ExecutorSpec(
-        kind=EXECUTOR_POOL, workers=workers, chunk_size=3,
-        start_method=START_METHOD,
-    )
+#: The schedule of each executor row; the pool oversubscribes so it
+#: runs two real workers on any host.
+EXECUTORS = {
+    "inline": {},
+    "pool": {
+        "workers": 2, "chunk_size": 3, "start_method": START_METHOD,
+        "oversubscribe": True,
+    },
+}
 
-
-def _plan(executor, kernel, tier2):
-    """The reference plan with the entropy binding and Tier-2 swapped."""
-    base = compile_plan(DecodeOptions(tier2=tier2))
-    return base.with_stage(StageBinding(STAGE_ENTROPY, kernel, executor))
-
-
-#: Every surviving plan: {inline, pool} x {batched, reference} x Tier-2
-#: {fast, reference}, labelled for CI ("-tier2" = reference Tier-2).
+#: Every surviving plan, as the options that compile to it: {inline,
+#: pool} x {batched, reference} x Tier-2 {fast, reference}, labelled for
+#: CI ("-tier2" = reference Tier-2).
 MATRIX = {
     f"{name}-{kernel}" + ("-tier2" if tier2 == "reference" else ""):
-        _plan(executor, kernel, tier2)
-    for (name, executor), kernel, tier2 in itertools.product(
-        (("inline", ExecutorSpec()), ("pool", _pool_executor())),
-        ("batched", "reference"),
-        ("fast", "reference"),
+        DecodeOptions(kernel=kernel, tier2=tier2, **EXECUTORS[name])
+    for name, kernel, tier2 in itertools.product(
+        EXECUTORS, ("batched", "reference"), ("fast", "reference"),
     )
 }
 POOL_PLANS = sorted(label for label in MATRIX if label.startswith("pool-"))
-
-#: The documented static rejections (rule code → a plan that trips it).
-INVALID = {
-    "executor.pool-requires-workers": _plan(
-        _pool_executor(workers=1), "batched", "fast"
-    ),
-    "stage.unknown-impl": _plan(ExecutorSpec(), "quantum", "fast"),
-}
 
 
 @pytest.fixture(scope="module", params=[True, False], ids=["lossless", "lossy"])
@@ -97,9 +75,7 @@ def workload(request):
     )
     data = encode_image(image, params)
     # The reference plan: reference kernel and reference Tier-2 inline.
-    decoder = Jpeg2000Decoder(
-        data, plan=MATRIX["inline-reference-tier2"]
-    )
+    decoder = Jpeg2000Decoder(data, options=MATRIX["inline-reference-tier2"])
     reference = decoder.decode()
     return data, reference, decoder.ops
 
@@ -142,17 +118,18 @@ def _check_identical(label, plan, decoder, image, reference, reference_ops):
 
 def test_matrix_covers_every_surviving_plan():
     assert len(MATRIX) == 8
-    assert len({plan.digest() for plan in MATRIX.values()}) == 8
+    digests = {compile_plan(options).digest() for options in MATRIX.values()}
+    assert len(digests) == 8
 
 
 @pytest.mark.parametrize("label", sorted(MATRIX))
 def test_every_valid_plan_is_byte_identical(label, workload):
     data, reference, reference_ops = workload
-    plan = MATRIX[label]
-    assert validate_plan(plan) == [], f"matrix plan {label} must be valid"
-    decoder = Jpeg2000Decoder(data, plan=plan)
+    decoder = Jpeg2000Decoder(data, options=MATRIX[label])
     image = decoder.decode()
-    _check_identical(label, plan, decoder, image, reference, reference_ops)
+    _check_identical(
+        label, decoder.plan, decoder, image, reference, reference_ops
+    )
 
 
 @pytest.mark.parametrize("label", POOL_PLANS)
@@ -161,16 +138,18 @@ def test_every_pool_plan_survives_a_killed_worker(label, workload):
     decode finds the pool broken, resumes through the in-process path,
     records the rewrite, and is still byte- and op-identical."""
     data, reference, reference_ops = workload
-    plan = MATRIX[label]
-    Jpeg2000Decoder(data, plan=plan).decode()  # warm: workers exist
+    options = MATRIX[label]
+    Jpeg2000Decoder(data, options=options).decode()  # warm: workers exist
     pool = entropy._pool
     os.kill(next(iter(pool._processes)), signal.SIGKILL)
     deadline = time.monotonic() + 30.0
     while not pool._broken and time.monotonic() < deadline:
         time.sleep(0.01)
-    decoder = Jpeg2000Decoder(data, plan=plan)
+    decoder = Jpeg2000Decoder(data, options=options)
     image = decoder.decode()
-    _check_identical(label, plan, decoder, image, reference, reference_ops)
+    _check_identical(
+        label, decoder.plan, decoder, image, reference, reference_ops
+    )
     rules = [
         rewrite["rule"]
         for rewrite in decoder.fates.fates[STAGE_ENTROPY]["rewrites"]
@@ -202,27 +181,18 @@ def wide_blocks():
             ((start, len(source)),),
         )))
     assert max(spec.num_bitplanes for _, spec in specs) > 30
-    reference = entropy.run_specs(
-        [bytes(source)], specs, MATRIX["inline-reference"].stage(STAGE_ENTROPY)
-    )
+    binding = compile_plan(MATRIX["inline-reference"]).stage(STAGE_ENTROPY)
+    reference = entropy.run_specs([bytes(source)], specs, binding)
     return bytes(source), specs, reference
 
 
 @pytest.mark.parametrize("label", sorted(MATRIX))
 def test_every_valid_plan_decodes_wide_blocks(label, wide_blocks):
     source, specs, (ref_flat, ref_offsets, ref_ops) = wide_blocks
-    binding = MATRIX[label].stage(STAGE_ENTROPY)
+    binding = compile_plan(MATRIX[label]).stage(STAGE_ENTROPY)
     flat, offsets, ops = entropy.run_specs([source], specs, binding)
     assert flat.dtype == np.int64
     assert np.array_equal(flat, ref_flat)
     assert np.array_equal(offsets, ref_offsets)
     assert ops == ref_ops
 
-
-@pytest.mark.parametrize("rule", sorted(INVALID))
-def test_invalid_plans_are_rejected_statically(rule, workload):
-    data, _, _ = workload
-    plan = INVALID[rule]
-    with pytest.raises(PlanValidationError) as excinfo:
-        Jpeg2000Decoder(data, plan=plan)
-    assert rule in {issue.rule for issue in excinfo.value.issues}

@@ -132,6 +132,10 @@ class TestDecodeOptions:
             with pytest.raises(ValueError):
                 DecodeOptions(kernel=kernel)
 
+    def test_rejects_unknown_tier2(self):
+        with pytest.raises(ValueError):
+            DecodeOptions(tier2="quantum")
+
     def test_single_worker_is_not_parallel(self):
         assert not DecodeOptions(workers=1).parallel
         # Parallelism only engages when the host actually has the CPUs.

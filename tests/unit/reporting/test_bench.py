@@ -72,12 +72,9 @@ def test_payload_carries_schedule_metadata():
 
 def test_payload_carries_plan_labels():
     from repro.jpeg2000.options import DecodeOptions
-    from repro.jpeg2000.plan import PlanEnvironment, compile_plan
+    from repro.jpeg2000.plan import compile_plan
 
-    plan = compile_plan(
-        DecodeOptions(workers=4),
-        PlanEnvironment(cpu_count=8),
-    )
+    plan = compile_plan(DecodeOptions(workers=4), 8)
     bench = DecodeBench({"tiles": 16}, baseline="reference")
     bench.record("lossless", "parallel-4", 3.0)
     bench.record_plan(

@@ -253,17 +253,14 @@ class TestObservabilityCli:
 
     def test_plan_decode_matches_library_digest(self, capsys):
         from repro.jpeg2000.options import DecodeOptions
-        from repro.jpeg2000.plan import PlanEnvironment, compile_plan
+        from repro.jpeg2000.plan import compile_plan
 
         assert main([
             "plan", "decode", "--workers", "2", "--kernel", "reference",
             "--cpus", "4",
         ]) == 0
         out = capsys.readouterr().out
-        plan = compile_plan(
-            DecodeOptions(workers=2, kernel="reference"),
-            PlanEnvironment(cpu_count=4),
-        )
+        plan = compile_plan(DecodeOptions(workers=2, kernel="reference"), 4)
         assert out.splitlines()[0] == f"DecodePlan {plan.digest()[:12]}"
         assert out.rstrip().splitlines()[-1] == plan.canonical_json()
 
