@@ -68,19 +68,29 @@ MODES = {
     "parallel-4": {"workers": 4, "chunk_size": 8},
 }
 
-#: Batched-sequential wall clock recorded by the Amdahl-cleanup PR's
-#: predecessor (schema v2 ``BENCH_decode.json``) — the Amdahl gate
-#: anchors against it: lossless (the Tier-1-dominated workload that
-#: tentpole targeted) improved >= 1.3x, lossy (proportionally more
-#: fixed overhead) >= 1.25x.  The Amdahl PR's own measurements landed
-#: ~1% inside those lines, and per-run spread on a shared host is an
-#: order of magnitude wider than that — interleaved same-code runs
-#: swing +/-13% — so the gate is applied with the sentinel's noise
-#: band (``DEFAULT_TOLERANCE``) on top of the recorded win.  A real
-#: slowdown (the sentinel's canonical 2x self-test case) still fails
-#: loudly; a quiet-vs-busy host no longer flakes the suite.
-PREV_BATCHED_SECONDS = {"lossless": 3.6781, "lossy": 2.789}
-PREV_GATE = {"lossless": 1.3, "lossy": 1.25}
+#: Batched-sequential speedup over reference-sequential in the committed
+#: ``BENCH_decode.json`` recording (schema 5, 2-CPU host: 14.1876/4.07
+#: lossless, 10.8065/3.2433 lossy).  Both rows come from one recording,
+#: so the ratio cancels host speed, which swings 3.2-5.6 s for the same
+#: batched decode on one shared host.
+RECORDED_SPEEDUP = {"lossless": 3.486, "lossy": 3.332}
+#: The same-recording form of the absolute gate this one replaced.  That
+#: gate demanded the Amdahl-cleanup win (1.3x lossless, 1.25x lossy)
+#: over the schema-2 recording's batched seconds, whose own speedups
+#: over reference were 8.9212/3.6781 and 7.4635/2.789.
+AMDAHL_SPEEDUP = {
+    "lossless": 8.9212 / 3.6781 * 1.3,
+    "lossy": 7.4635 / 2.789 * 1.25,
+}
+#: Gate: a fresh batched-sequential speedup over reference-sequential
+#: may fall short of the recorded one by at most the sentinel noise
+#: band (``DEFAULT_TOLERANCE``), the band the absolute gate also used;
+#: taking the larger expectation keeps it no looser than that gate.
+SPEEDUP_GATE = {
+    mode: max(RECORDED_SPEEDUP[mode], AMDAHL_SPEEDUP[mode])
+    / (1.0 + DEFAULT_TOLERANCE)
+    for mode in RECORDED_SPEEDUP
+}
 
 #: Interleaved timing rounds per variant (best-of).  The reference
 #: kernel is ~2x slower per decode, so it gets fewer rounds.
@@ -247,8 +257,8 @@ def test_wallclock_16_tile_decode(emit):
     payload = bench.write(BENCH_FILE, byte_identical=True, op_counts_identical=True)
 
     # Acceptance gates: the batched kernel alone buys >= 1.3x against
-    # the seed sequential decode and holds the Amdahl-cleanup win over
-    # its predecessor within the sentinel noise band; on a host with at
+    # the seed sequential decode and keeps its recorded speedup over the
+    # reference kernel within the sentinel noise band; on a host with at
     # least 4 CPUs the pool beats the same kernel run in-process by
     # >= 1.5x.  Speedup gates on
     # degraded schedules are skipped — the row is recorded and flagged,
@@ -258,14 +268,13 @@ def test_wallclock_16_tile_decode(emit):
         entry = payload["modes"][mode_name]
         assert entry["speedup_vs_seed"]["batched-sequential"] >= 1.3
         seconds = entry["seconds"]
-        assert (
-            seconds["batched-sequential"]
-            <= PREV_BATCHED_SECONDS[mode_name] / PREV_GATE[mode_name]
-            * (1.0 + DEFAULT_TOLERANCE)
-        ), (
-            f"batched-sequential lost the recorded "
-            f"{PREV_GATE[mode_name]}x Amdahl win beyond the sentinel "
-            f"noise band"
+        speedup = (
+            seconds["reference-sequential"] / seconds["batched-sequential"]
+        )
+        assert speedup >= SPEEDUP_GATE[mode_name], (
+            f"batched-sequential is {speedup:.2f}x reference-sequential, "
+            f"under the {SPEEDUP_GATE[mode_name]:.2f}x gate (the recorded "
+            f"speedup less the sentinel noise band)"
         )
         shares = entry["stage_shares"]["batched-sequential"]
         assert shares, "instrumented decode produced no stage spans"

@@ -7,7 +7,12 @@ and the functional payload of every OSSS model — has real work to do.
 
 Pipeline per tile component: DC level shift, colour transform (RCT for the
 5/3 path, ICT for 9/7), multi-level DWT, quantisation (9/7 only), Tier-1
-code-block coding, Tier-2 packet assembly (single layer, LRCP).
+code-block coding, Tier-2 packet assembly (quality layers, LRCP or RLCP).
+
+Tier-1 runs every code block of a tile through one call of the batched
+``t1_fast.encode_codeblock_batch`` kernel.  The reference
+``t1.CodeBlockEncoder`` is its oracle: tests require identical output
+for every block, and pin whole-codestream digests recorded with it.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from .codestream import (
     write_codestream,
 )
 from .image import Image, TileGrid
-from .structure import band_shapes, codeblock_grid
-from .t1 import CodeBlockEncoder
+from .structure import codeblock_grid
+from .t1_fast import encode_codeblock_batch
 from .t2 import CodeBlockContribution, PacketBand, encode_packet, sop_segment
 
 
@@ -162,36 +167,31 @@ class Jpeg2000Encoder:
             planes = [y, u, v] + shifted[3:]
         else:
             planes = shifted
+        # Every code block of the tile goes through one Tier-1 batch.
         bands_per_component = []
+        tasks = []
+        owners = []
         for plane in planes:
             subbands = dwt.forward(plane, params.transform, params.num_levels)
             component_bands = []
             for resolution, orientation, array in subbands.iter_bands():
-                component_bands.append(
-                    self._code_band(resolution, orientation, array)
-                )
+                indices = self._band_indices(resolution, orientation, array)
+                height, width = indices.shape
+                band = _CodedBand(resolution, orientation, width, height)
+                for geometry in codeblock_grid(width, height, params.codeblock_size):
+                    tasks.append((
+                        indices[
+                            geometry.y0 : geometry.y0 + geometry.height,
+                            geometry.x0 : geometry.x0 + geometry.width,
+                        ],
+                        geometry.width,
+                        geometry.height,
+                        orientation,
+                    ))
+                    owners.append((band, geometry))
+                component_bands.append(band)
             bands_per_component.append(component_bands)
-        return bands_per_component
-
-    def _code_band(self, resolution: int, orientation: str, array: np.ndarray) -> _CodedBand:
-        params = self.params
-        if params.lossless:
-            indices = np.asarray(array, dtype=np.int64)
-        else:
-            # Quantise with the QCD-representable step so encoder and decoder
-            # use bit-identical deltas.
-            indices = quant.quantise(array, signalled_delta(params, resolution, orientation))
-        height, width = indices.shape
-        band = _CodedBand(resolution, orientation, width, height)
-        for geometry in codeblock_grid(width, height, params.codeblock_size):
-            block_data = indices[
-                geometry.y0 : geometry.y0 + geometry.height,
-                geometry.x0 : geometry.x0 + geometry.width,
-            ]
-            coder = CodeBlockEncoder(
-                block_data.flatten().tolist(), geometry.width, geometry.height, orientation
-            )
-            result = coder.encode()
+        for (band, geometry), result in zip(owners, encode_codeblock_batch(tasks)):
             band.blocks.append(
                 CodeBlockContribution(
                     geometry=geometry,
@@ -201,7 +201,16 @@ class Jpeg2000Encoder:
                     pass_lengths=result.pass_lengths,
                 )
             )
-        return band
+        return bands_per_component
+
+    def _band_indices(self, resolution: int, orientation: str, array: np.ndarray) -> np.ndarray:
+        if self.params.lossless:
+            return np.asarray(array, dtype=np.int64)
+        # Quantise with the QCD-representable step so encoder and decoder
+        # use bit-identical deltas.
+        return quant.quantise(
+            array, signalled_delta(self.params, resolution, orientation)
+        )
 
     # -- quantisation signalling -------------------------------------------------------
 

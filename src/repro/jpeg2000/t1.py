@@ -14,6 +14,11 @@ The most significant plane is coded with a cleanup pass only.  All
 decisions drive the MQ coder; contexts follow ``repro.jpeg2000.context``.
 This module is the functional payload of the case study's *arithmetic
 decoder* stage — by far the dominant share in Figure 1's profile.
+
+:class:`CodeBlockEncoder` and :class:`CodeBlockDecoder` are the readable
+specification and the oracles for the batched kernels in ``t1_fast``,
+which the encoder and (by default) the decode stack run; tests pin
+those kernels to these classes bit for bit.
 """
 
 from __future__ import annotations
@@ -138,7 +143,7 @@ class _BlockState:
                 yield stripe_top, stripe_rows, x
 
 
-def _num_bitplanes(magnitudes, width: int, height: int) -> int:
+def _num_bitplanes(magnitudes) -> int:
     highest = 0
     for value in magnitudes:
         if value > highest:
@@ -163,7 +168,7 @@ class CodeBlockEncoder:
 
     def encode(self) -> CodeBlockResult:
         state = self.state
-        planes = _num_bitplanes(self.magnitude, state.width, state.height)
+        planes = _num_bitplanes(self.magnitude)
         mq = MqEncoder()
         contexts = initial_contexts()
         if planes == 0:

@@ -1,33 +1,39 @@
-"""Optimised EBCOT Tier-1 decoder — the refined hot-path kernel.
+"""Optimised EBCOT Tier-1 coding, both directions — the refined kernels.
 
-Bit-for-bit equivalent to :class:`repro.jpeg2000.t1.CodeBlockDecoder`
-(same coefficients, same basic-operation count), but restructured for
-CPython speed.  :func:`decode_codeblock_batch` is the decode stack's one
-refined Tier-1 kernel (plan impl ``"batched"``, the default); the
-reference decoder in ``t1.py`` stays as the readable specification and
-as the parity oracle for tests.
+:func:`decode_codeblock_batch` is bit-for-bit equivalent to
+:class:`repro.jpeg2000.t1.CodeBlockDecoder` (same coefficients, same
+basic-operation count) and is the decode stack's one refined Tier-1
+kernel (plan impl ``"batched"``, the default).
+:func:`encode_codeblock_batch` is bit-for-bit equivalent to
+:class:`repro.jpeg2000.t1.CodeBlockEncoder` (same bytes, pass and
+bit-plane counts, op count and pass lengths) and is the encoder's only
+Tier-1 path.  The reference coders in ``t1.py`` stay as the readable
+specification and as the parity oracles for tests.
 
-What changes relative to the reference:
+What changes relative to the reference, in both directions:
 
-* the MQ decoder's DECODE / EXCHANGE / RENORMD / BYTEIN chain is one
-  closure over local-variable register state — no per-bit attribute
-  traffic;
+* the MQ coder's register chain (DECODE / EXCHANGE / RENORMD / BYTEIN,
+  or ENCODE / RENORME / BYTEOUT) is inlined into the pass loops with
+  the registers in local variables — no per-bit attribute traffic;
 * context states live in two flat lists instead of objects;
 * the per-sample 8-neighbour significance scan is replaced by one packed
   counter per sample (``h | v << 2 | d << 4``), updated incrementally
   each time a sample becomes significant — turning the dominant
   ``neighbour_counts`` cost into a single list read;
 * zero-coding contexts come from the precomputed ``context.ZC_LUT``
-  table indexed by the packed counter;
-* a whole chunk of code blocks runs through one shared set of closures
-  and reused per-sample scratch buffers, and the final sign application
-  is vectorised with NumPy — amortising the per-block Python overhead
-  that dominates on small blocks (the paper workload's 32x32 grid
-  produces hundreds of them).
+  table indexed by the packed counter, sign contexts from one packed
+  sign-neighbourhood byte per sample;
+* each pass's scan-order candidate list is computed with NumPy, and the
+  refinement pass's contexts with it; the decoder applies the signs
+  vectorised, the encoder reads each plane's bits from NumPy;
+* a whole batch of code blocks runs through one shared set of closures
+  and reused per-sample scratch buffers — amortising the per-block
+  Python overhead that dominates on small blocks (the paper workload's
+  32x32 grid produces hundreds of them).
 
 The operation counter keeps the reference semantics exactly: +1 per MQ
 decision, +1 per renormalisation shift, so the Fig. 1 / Table 1 cycle
-models are unaffected by which kernel decodes a block.
+models are unaffected by which kernel codes a block.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import numpy as np
 
 from .context import CTX_RUN, CTX_UNI, SC_LUT, ZC_LUT
 from .mq import QE_TABLE
+from .t1 import CodeBlockResult
 
 #: QE_TABLE split into parallel tuples so the common decode path loads
 #: only the fields it needs (the Qe probability) instead of unpacking a
@@ -764,3 +771,497 @@ def decode_codeblock_batch(blocks: Sequence[BatchBlock], out=None):
         op_counts.append(ops)
 
     return out, op_counts
+
+
+#: For an A register value below 0x8000 (the only values RENORME ever
+#: sees), the number of left shifts that bring its top bit to 0x8000 —
+#: the RENORME loop's trip count, so it can shift in one step between
+#: byte emissions.
+_RENORM_SHIFTS = bytes(16 - a.bit_length() for a in range(0x8000))
+
+#: A batched encode task: (coefficients, width, height, orientation),
+#: where ``coefficients`` is any integer array-like holding the block's
+#: ``width * height`` signed samples in row-major order.
+EncodeBlock = tuple
+
+
+def encode_codeblock_batch(blocks: Sequence[EncodeBlock]) -> list:
+    """Encode a batch of code blocks through one shared kernel instance.
+
+    Bit-for-bit identical to running the reference
+    :class:`~repro.jpeg2000.t1.CodeBlockEncoder` on each block: the
+    same codeword bytes, pass count, bit-plane count, op count and
+    per-pass truncation lengths.  It mirrors
+    :func:`decode_codeblock_batch` — packed neighbour counters, packed
+    sign bytes, scan-order candidate lists computed with NumPy, the MQ
+    decision inlined into the pass loops with its registers in locals,
+    closures and scratch buffers built once per batch — and adds what
+    only an encoder knows up front: each plane's bits, read from NumPy
+    (``(magnitude >> plane) & 1``).  RENORME shifts in one step between
+    byte emissions instead of one bit at a time.
+
+    Coefficients are read as ``int64``, so magnitudes must stay below
+    2**63 (the reference takes any Python integer).  Returns one
+    :class:`~repro.jpeg2000.t1.CodeBlockResult` per block, in input
+    order.
+    """
+    prepared = []
+    max_size = 0
+    for coefficients, width, height, orientation in blocks:
+        values = np.asarray(coefficients, dtype=np.int64).reshape(-1)
+        if values.size != width * height:
+            raise ValueError("coefficient count does not match block dimensions")
+        if width < 1 or height < 1:
+            raise ValueError("code block dimensions must be positive")
+        if orientation not in ZC_LUT:
+            raise ValueError(f"unknown subband orientation {orientation!r}")
+        prepared.append((values, width, height, orientation))
+        max_size = values.size if values.size > max_size else max_size
+
+    qe_tab = _QE
+    nmps_tab = _NMPS
+    nlps_tab = _NLPS
+    switch_tab = _SWITCH
+    shifts = _RENORM_SHIFTS
+    sc_ctx = _SC_CTX
+    sc_xor = _SC_XOR
+
+    # Scratch buffers sized to the largest block of the batch, re-zeroed
+    # per block; the NumPy views alias the bytearrays (see
+    # decode_codeblock_batch).
+    sigma = bytearray(max_size)
+    visited = bytearray(max_size)
+    refined = bytearray(max_size)
+    nb = bytearray(max_size)
+    hv = bytearray(bytes([_HV_NEUTRAL]) * max_size)
+    zero_fill = bytes(max_size)
+    hv_fill = bytes(hv)
+    sig_np = np.frombuffer(sigma, dtype=np.uint8)
+    vis_np = np.frombuffer(visited, dtype=np.uint8)
+    ref_np = np.frombuffer(refined, dtype=np.uint8)
+    nb_np = np.frombuffer(nb, dtype=np.uint8)
+    cx_index = [0] * 19
+    cx_mps = [0] * 19
+    # MQ output; byte 0 is the reference's sentinel, dropped at flush.
+    out = bytearray(1)
+
+    # Per-block state the closures read; rebound in the block loop.
+    w = h = 0
+    size = 0
+    edge = b""
+    sign = b""
+    zc = ZC_LUT["LL"]
+    stripes: tuple = ()
+    order: np.ndarray = np.empty(0, dtype=np.intp)
+    a = c = ct = ops = 0
+
+    def byte_out(lc):
+        # BYTEOUT, with carry propagation and 0xFF bit stuffing; returns
+        # the new (C, CT).
+        last = out[-1]
+        if last == 0xFF:
+            out.append((lc >> 20) & 0xFF)
+            return lc & 0xFFFFF, 7
+        if lc < 0x8000000:
+            out.append((lc >> 19) & 0xFF)
+            return lc & 0x7FFFF, 8
+        last += 1
+        out[-1] = last
+        if last == 0xFF:
+            lc &= 0x7FFFFFF
+            out.append((lc >> 20) & 0xFF)
+            return lc & 0xFFFFF, 7
+        out.append((lc >> 19) & 0xFF)
+        return lc & 0x7FFFF, 8
+
+    def mq_encode(bit, k, la, lc, lct, lops):
+        # ENCODE for the rarer decisions (run-mode interruptions and
+        # their uniform-context position bits); the pass loops inline
+        # the same code.  Registers travel as arguments and results.
+        i = cx_index[k]
+        qe = qe_tab[i]
+        la -= qe
+        lops += 1
+        if bit == cx_mps[k]:
+            if la & 0x8000:
+                return la, lc + qe, lct, lops
+            if la < qe:
+                la = qe
+            else:
+                lc += qe
+            cx_index[k] = nmps_tab[i]
+        else:
+            if la < qe:
+                lc += qe
+            else:
+                la = qe
+            if switch_tab[i]:
+                cx_mps[k] = bit
+            cx_index[k] = nlps_tab[i]
+        n = shifts[la]
+        lops += n
+        while n >= lct:
+            la <<= lct
+            lc <<= lct
+            n -= lct
+            lc, lct = byte_out(lc)
+        return la << n, lc << n, lct - n, lops
+
+    def make_significant(idx, la, lc, lct, lops):
+        # Set-significant plus sign coding, the encoder twin of the
+        # decoder's make_significant: bump the packed neighbour counters,
+        # code the sign in the context of the packed sign byte, then
+        # push this sample's sign contribution to its h/v neighbours.
+        sigma[idx] = 1
+        e = edge[idx]
+        if e == 0:
+            jup = idx - w
+            jdn = idx + w
+            nb[idx - 1] += 1
+            nb[idx + 1] += 1
+            nb[jup] += 4
+            nb[jup - 1] += 16
+            nb[jup + 1] += 16
+            nb[jdn] += 4
+            nb[jdn - 1] += 16
+            nb[jdn + 1] += 16
+        else:
+            left = not e & 1
+            right = not e & 2
+            if left:
+                nb[idx - 1] += 1
+            if right:
+                nb[idx + 1] += 1
+            if not e & 4:
+                j = idx - w
+                nb[j] += 4
+                if left:
+                    nb[j - 1] += 16
+                if right:
+                    nb[j + 1] += 16
+            if not e & 8:
+                j = idx + w
+                nb[j] += 4
+                if left:
+                    nb[j - 1] += 16
+                if right:
+                    nb[j + 1] += 16
+        hvb = hv[idx]
+        k = sc_ctx[hvb]
+        s = sign[idx]
+        bit = s ^ sc_xor[hvb]
+        i = cx_index[k]
+        qe = qe_tab[i]
+        la -= qe
+        lops += 1
+        if bit == cx_mps[k] and la & 0x8000:
+            lc += qe
+        else:
+            if bit == cx_mps[k]:
+                if la < qe:
+                    la = qe
+                else:
+                    lc += qe
+                cx_index[k] = nmps_tab[i]
+            else:
+                if la < qe:
+                    lc += qe
+                else:
+                    la = qe
+                if switch_tab[i]:
+                    cx_mps[k] = bit
+                cx_index[k] = nlps_tab[i]
+            n = shifts[la]
+            lops += n
+            while n >= lct:
+                la <<= lct
+                lc <<= lct
+                n -= lct
+                lc, lct = byte_out(lc)
+            la <<= n
+            lc <<= n
+            lct -= n
+        delta_h = -1 if s else 1
+        delta_v = -16 if s else 16
+        if e == 0:
+            hv[idx - 1] += delta_h
+            hv[idx + 1] += delta_h
+            hv[jup] += delta_v
+            hv[jdn] += delta_v
+        else:
+            if not e & 1:
+                hv[idx - 1] += delta_h
+            if not e & 2:
+                hv[idx + 1] += delta_h
+            if not e & 4:
+                hv[idx - w] += delta_v
+            if not e & 8:
+                hv[idx + w] += delta_v
+        return la, lc, lct, lops
+
+    def significance_pass(bits: bytes) -> None:
+        # Candidates as in the decoder: every sample insignificant at
+        # pass entry, in scan order; the live neighbour counter gates
+        # each one.
+        nonlocal a, c, ct, ops
+        vis, counts, lut = visited, nb, zc
+        qe_t, cxi, cxm = qe_tab, cx_index, cx_mps
+        nmps_t, nlps_t, sw_t = nmps_tab, nlps_tab, switch_tab
+        sh, bout = shifts, byte_out
+        la, lc, lct, lops = a, c, ct, ops
+        for idx in order[sig_np[order] == 0].tolist():
+            packed = counts[idx]
+            if packed:
+                vis[idx] = 1
+                k = lut[packed]
+                bit = bits[idx]
+                i = cxi[k]
+                qe = qe_t[i]
+                la -= qe
+                lops += 1
+                if bit == cxm[k] and la & 0x8000:
+                    lc += qe
+                else:
+                    if bit == cxm[k]:
+                        if la < qe:
+                            la = qe
+                        else:
+                            lc += qe
+                        cxi[k] = nmps_t[i]
+                    else:
+                        if la < qe:
+                            lc += qe
+                        else:
+                            la = qe
+                        if sw_t[i]:
+                            cxm[k] = bit
+                        cxi[k] = nlps_t[i]
+                    n = sh[la]
+                    lops += n
+                    while n >= lct:
+                        la <<= lct
+                        lc <<= lct
+                        n -= lct
+                        lc, lct = bout(lc)
+                    la <<= n
+                    lc <<= n
+                    lct -= n
+                if bit:
+                    la, lc, lct, lops = make_significant(idx, la, lc, lct, lops)
+        a, c, ct, ops = la, lc, lct, lops
+
+    def refinement_pass(plane_bits: np.ndarray) -> None:
+        # Candidates, contexts and bits are all frozen for the pass, so
+        # the whole decision list is computed up front with NumPy.
+        cand_mask = (sig_np[:size] != 0) & (vis_np[:size] == 0)
+        cand = order[cand_mask[order]]
+        if not cand.size:
+            return
+        ks = np.where(
+            ref_np[cand] != 0, 16, np.where(nb_np[cand] != 0, 15, 14)
+        )
+        nonlocal a, c, ct, ops
+        qe_t, cxi, cxm = qe_tab, cx_index, cx_mps
+        nmps_t, nlps_t, sw_t = nmps_tab, nlps_tab, switch_tab
+        sh, bout = shifts, byte_out
+        la, lc, lct, lops = a, c, ct, ops
+        for k, bit in zip(ks.tolist(), plane_bits[cand].tolist()):
+            i = cxi[k]
+            qe = qe_t[i]
+            la -= qe
+            lops += 1
+            if bit == cxm[k] and la & 0x8000:
+                lc += qe
+                continue
+            if bit == cxm[k]:
+                if la < qe:
+                    la = qe
+                else:
+                    lc += qe
+                cxi[k] = nmps_t[i]
+            else:
+                if la < qe:
+                    lc += qe
+                else:
+                    la = qe
+                if sw_t[i]:
+                    cxm[k] = bit
+                cxi[k] = nlps_t[i]
+            n = sh[la]
+            lops += n
+            while n >= lct:
+                la <<= lct
+                lc <<= lct
+                n -= lct
+                lc, lct = bout(lc)
+            la <<= n
+            lc <<= n
+            lct -= n
+        a, c, ct, ops = la, lc, lct, lops
+        ref_np[cand] = 1
+
+    def cleanup_pass(bits: bytes) -> None:
+        # Examinees packed into per-column codes, as in the decoder.
+        nonlocal a, c, ct, ops
+        counts, lut, enc = nb, zc, mq_encode
+        qe_t, cxi, cxm = qe_tab, cx_index, cx_mps
+        nmps_t, nlps_t, sw_t = nmps_tab, nlps_tab, switch_tab
+        sh, bout = shifts, byte_out
+        exam = (sig_np[:size] == 0) & (vis_np[:size] == 0)
+        codes = _column_codes(exam, w, h)
+        rows_for = _CODE_ROWS
+        ci = 0
+        la, lc, lct, lops = a, c, ct, ops
+        for stripe_top, stripe_rows, base in stripes:
+            for x in range(w):
+                code = codes[ci]
+                ci += 1
+                if not code:
+                    continue
+                top = base + x
+                start_row = 0
+                if code == 15:
+                    i1 = top + w
+                    i2 = i1 + w
+                    i3 = i2 + w
+                    if not (counts[top] or counts[i1] or counts[i2]
+                            or counts[i3]):
+                        if bits[top]:
+                            first_one = 0
+                        elif bits[i1]:
+                            first_one = 1
+                        elif bits[i2]:
+                            first_one = 2
+                        elif bits[i3]:
+                            first_one = 3
+                        else:
+                            # An all-zero column: one run-context 0,
+                            # nearly always the MPS without renormalising.
+                            i = cxi[CTX_RUN]
+                            qe = qe_t[i]
+                            if cxm[CTX_RUN] == 0 and (la - qe) & 0x8000:
+                                la -= qe
+                                lc += qe
+                                lops += 1
+                            else:
+                                la, lc, lct, lops = enc(
+                                    0, CTX_RUN, la, lc, lct, lops
+                                )
+                            continue
+                        la, lc, lct, lops = enc(1, CTX_RUN, la, lc, lct, lops)
+                        la, lc, lct, lops = enc(
+                            first_one >> 1, CTX_UNI, la, lc, lct, lops
+                        )
+                        la, lc, lct, lops = enc(
+                            first_one & 1, CTX_UNI, la, lc, lct, lops
+                        )
+                        la, lc, lct, lops = make_significant(
+                            top + first_one * w, la, lc, lct, lops
+                        )
+                        start_row = first_one + 1
+                for row in rows_for[code]:
+                    if row < start_row:
+                        continue
+                    idx = top + row * w
+                    k = lut[counts[idx]]
+                    bit = bits[idx]
+                    i = cxi[k]
+                    qe = qe_t[i]
+                    la -= qe
+                    lops += 1
+                    if bit == cxm[k] and la & 0x8000:
+                        lc += qe
+                    else:
+                        if bit == cxm[k]:
+                            if la < qe:
+                                la = qe
+                            else:
+                                lc += qe
+                            cxi[k] = nmps_t[i]
+                        else:
+                            if la < qe:
+                                lc += qe
+                            else:
+                                la = qe
+                            if sw_t[i]:
+                                cxm[k] = bit
+                            cxi[k] = nlps_t[i]
+                        n = sh[la]
+                        lops += n
+                        while n >= lct:
+                            la <<= lct
+                            lc <<= lct
+                            n -= lct
+                            lc, lct = bout(lc)
+                        la <<= n
+                        lc <<= n
+                        lct -= n
+                    if bit:
+                        la, lc, lct, lops = make_significant(
+                            idx, la, lc, lct, lops
+                        )
+        a, c, ct, ops = la, lc, lct, lops
+
+    results = []
+    for values, width, height, orientation in prepared:
+        magnitude = np.abs(values)
+        planes = int(magnitude.max()).bit_length()
+        if planes == 0:
+            results.append(CodeBlockResult(b"", 0, 0, 0))
+            continue
+
+        w, h = width, height
+        size = w * h
+        edge = _edge_flags(w, h)
+        zc = ZC_LUT[orientation]
+        stripes, order = _scan_layout(w, h)
+        sign = (values < 0).tobytes()
+        sigma[:size] = zero_fill[:size]
+        visited[:size] = zero_fill[:size]
+        refined[:size] = zero_fill[:size]
+        nb[:size] = zero_fill[:size]
+        hv[:size] = hv_fill[:size]
+        cx_index[:] = (0,) * 19
+        cx_mps[:] = (0,) * 19
+        cx_index[0] = 4
+        cx_index[CTX_RUN] = 3
+        cx_index[CTX_UNI] = 46
+
+        # INITENC (the reference MqEncoder's initialisation).
+        out[:] = b"\x00"
+        a = 0x8000
+        c = 0
+        ct = 12
+        ops = 0
+
+        # Per pass: live bytes so far (minus the sentinel) plus headroom
+        # for the bits still held in C — the reference's pass marks.
+        marks = []
+        for plane in range(planes - 1, -1, -1):
+            plane_bits = ((magnitude >> plane) & 1).astype(np.uint8)
+            bits = plane_bits.tobytes()
+            if plane != planes - 1:
+                significance_pass(bits)
+                marks.append(len(out) + 4)
+                refinement_pass(plane_bits)
+                marks.append(len(out) + 4)
+            cleanup_pass(bits)
+            marks.append(len(out) + 4)
+            visited[:size] = zero_fill[:size]
+
+        # FLUSH: SETBITS, then two byte emissions.
+        temp = c + a
+        c |= 0xFFFF
+        if c >= temp:
+            c -= 0x8000
+        c, ct = byte_out(c << ct)
+        byte_out(c << ct)
+        data = bytes(out[1:])
+        if data.endswith(b"\xff"):
+            data = data[:-1]
+        pass_lengths = [min(mark, len(data)) for mark in marks]
+        pass_lengths[-1] = len(data)
+        results.append(
+            CodeBlockResult(data, len(marks), planes, ops, pass_lengths)
+        )
+    return results

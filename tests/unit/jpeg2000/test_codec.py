@@ -1,5 +1,7 @@
 """End-to-end codec behaviour."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,47 @@ class TestEncoderValidation:
         image = synthetic_image(32, 32, 3, bit_depth=10)
         with pytest.raises(EncodingError, match="depth"):
             encode_image(image, params(size=32))
+
+
+#: SHA-256 of ``encode_image`` output, recorded with the reference
+#: ``t1.CodeBlockEncoder`` doing Tier-1.  name -> ((width, height,
+#: components, image seed), CodingParameters overrides, digest).
+GOLDEN_CODESTREAMS = {
+    "lossless-rgb-cb32": (
+        (64, 64, 3, 11),
+        dict(tile_width=32, tile_height=32, num_levels=2, codeblock_exp=5,
+             lossless=True),
+        "221795fc0d2ad9fc9b93989988bc0c44b51f2aa552ac6e3cd219d745a5efdb7b",
+    ),
+    "lossy-gray-cb64": (
+        (96, 72, 1, 12),
+        dict(tile_width=96, tile_height=72, num_levels=3, codeblock_exp=6,
+             lossless=False, use_mct=False, base_step=1 / 16),
+        "5e5cc5d565fc8ac1807832c6e01e3ddb82172473817dad238aa434e74cb798a8",
+    ),
+    "lossless-gray-cb64-3layers": (
+        (80, 64, 1, 13),
+        dict(tile_width=80, tile_height=64, num_levels=2, codeblock_exp=6,
+             lossless=True, use_mct=False, num_layers=3),
+        "0302cd6bae1fc9a071007f6c8452e42da4e2cfb392ffd8eeec918b880f133a14",
+    ),
+    "lossy-rgb-cb32-3layers": (
+        (64, 48, 3, 14),
+        dict(tile_width=32, tile_height=48, num_levels=2, codeblock_exp=5,
+             lossless=False, num_layers=3, base_step=1 / 32),
+        "aaeffb9017f5e6b3e651cc6c301e533759bca7c3e8b84d60211c1581a249f720",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CODESTREAMS))
+def test_encoded_codestream_matches_golden_digest(name):
+    """Whole-image encode output is pinned byte for byte: a change to
+    any encode stage (Tier-1 bytes, pass lengths feeding the layer
+    allocator, Tier-2 headers) shows up here."""
+    (width, height, components, seed), overrides, digest = GOLDEN_CODESTREAMS[name]
+    image = synthetic_image(width, height, components, seed=seed)
+    coding = CodingParameters(
+        width=width, height=height, num_components=components, **overrides
+    )
+    assert hashlib.sha256(encode_image(image, coding)).hexdigest() == digest

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.jpeg2000.t1 import CodeBlockDecoder, CodeBlockEncoder
+from repro.jpeg2000.t1_fast import encode_codeblock_batch
 
 
 def encode_decode(coeffs, width, height, orientation="HL", passes=None):
@@ -91,6 +92,12 @@ class TestPassStructure:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             CodeBlockEncoder([0] * 5, 2, 2, "HL")
+
+    def test_batched_encoder_validates_each_block(self):
+        with pytest.raises(ValueError, match="does not match"):
+            encode_codeblock_batch([([0] * 4, 2, 2, "HL"), ([0] * 5, 2, 2, "HL")])
+        with pytest.raises(ValueError, match="orientation"):
+            encode_codeblock_batch([([1] * 4, 2, 2, "XX")])
 
     def test_sparse_blocks_use_run_mode_efficiently(self):
         # A nearly-empty block should cost only a few bytes thanks to the
