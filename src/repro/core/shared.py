@@ -131,6 +131,7 @@ class SharedObject(Module):
         #: decisions scheduled as end-of-delta callbacks (one per delta).
         self._fast = bool(getattr(sim, "fast", False))
         self._decision_pending = False
+        self._decision = sim._delta_call(self._decide)
         if self._fast:
             # Request/finish schedule decisions directly, but guard state
             # can also change outside the call protocol (a behaviour or
@@ -282,7 +283,7 @@ class SharedObject(Module):
         """
         if not self._decision_pending:
             self._decision_pending = True
-            self.sim._schedule_delta_call(self._decide)
+            self.sim._delta_queue.append(self._decision)
 
     def _decide(self) -> None:
         self._decision_pending = False

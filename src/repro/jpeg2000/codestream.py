@@ -225,7 +225,21 @@ class _Cursor:
 
 
 def parse_codestream(data: bytes) -> Codestream:
-    """Parse a codestream produced by :func:`write_codestream`."""
+    """Parse a codestream produced by :func:`write_codestream`.
+
+    Reading past the end of *data* — a fixed-size field or an empty QCD
+    body — raises :class:`CodestreamError` like every other defect.
+    """
+    try:
+        params, tile_parts = _parse_segments(data)
+    except (struct.error, IndexError) as error:
+        raise CodestreamError("truncated codestream") from error
+    params.validate()
+    return Codestream(parameters=params, tile_parts=tile_parts)
+
+
+def _parse_segments(data: bytes) -> tuple[CodingParameters, list[TilePart]]:
+    """Read the marker segments; the cursor raises past the end of *data*."""
     cursor = _Cursor(data)
     if cursor.u16() != SOC:
         raise CodestreamError("missing SOC marker")
@@ -266,8 +280,7 @@ def parse_codestream(data: bytes) -> Codestream:
         raise CodestreamError("codestream has no SIZ segment")
     if quant_pending is not None:
         _parse_qcd_body(quant_pending, params)
-    params.validate()
-    return Codestream(parameters=params, tile_parts=tile_parts)
+    return params, tile_parts
 
 
 def _parse_siz(cursor: _Cursor) -> CodingParameters:

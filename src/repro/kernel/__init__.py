@@ -10,7 +10,7 @@ all coordinated by :class:`Simulator`.
 from .event import Event
 from .fifo import Fifo
 from .module import Module
-from .process import AllOf, AnyOf, Process, ProcessState, Timeout, join
+from .process import AllOf, AnyOf, Park, Process, ProcessState, Timeout, join
 from .scheduler import (
     ProcessError,
     SimulationError,
@@ -32,6 +32,7 @@ __all__ = [
     "Fifo",
     "Module",
     "Mutex",
+    "Park",
     "Process",
     "ProcessError",
     "ProcessState",

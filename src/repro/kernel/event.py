@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .time import SimTime, ZERO_TIME
+from .time import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .process import Process
@@ -43,27 +43,27 @@ class Event:
 
     def notify(self, delay: Optional[SimTime] = None, *, delta: bool = False) -> None:
         """Notify the event immediately, after a delta cycle, or after *delay*."""
-        if delta and delay is not None:
+        if delay is None:
+            if not delta:
+                if self._pending_handle is not None:
+                    self._cancel_pending()
+                self.sim._trigger_now(self)
+                return
+            delay_fs = 0
+        elif delta:
             raise ValueError("pass either a delay or delta=True, not both")
-        if delay is None and not delta:
-            if self._pending_handle is not None:
-                self._cancel_pending()
-            self.sim._trigger_now(self)
-            return
-        if delta or delay == ZERO_TIME:
-            target = self.sim._now_fs
-            if self._pending_at is not None and self._pending_at <= target:
-                return  # an earlier (or equal) notification is already pending
-            self._cancel_pending()
-            self._pending_at = target
-            self._pending_handle = self.sim._schedule_delta(self)
-            return
-        target = self.sim._now_fs + delay.femtoseconds
+        else:
+            delay_fs = delay._fs
+        target = self.sim._now_fs + delay_fs
         if self._pending_at is not None and self._pending_at <= target:
-            return
+            return  # an earlier (or equal) notification is already pending
         self._cancel_pending()
         self._pending_at = target
-        self._pending_handle = self.sim._schedule_timed(self, target)
+        if delay_fs:
+            self._pending_handle = self.sim._schedule_timed(self, target)
+        else:
+            # A zero delay degenerates to a delta notification.
+            self._pending_handle = self.sim._schedule_delta(self)
 
     def cancel(self) -> None:
         """Cancel any pending delta/timed notification."""

@@ -6,7 +6,9 @@ request* and is resumed by the scheduler when the request is satisfied:
 * ``yield SimTime(10, "ns")`` — wait for a duration;
 * ``yield event`` — wait for a single event;
 * ``yield AnyOf(e1, e2, ...)`` — wait until any of the events fires;
-* ``yield AllOf(e1, e2, ...)`` — wait until all of the events have fired.
+* ``yield AllOf(e1, e2, ...)`` — wait until all of the events have fired;
+* ``yield park`` — wait until the holder of a :class:`Park` request
+  resumes the process (see :meth:`Simulator._wake_parked`).
 
 Sub-behaviours compose with ``yield from``, which is the idiom used for all
 blocking library calls (e.g. Shared Object method calls in the OSSS layer).
@@ -65,6 +67,25 @@ class Timeout:
         self.delay = delay
 
 
+class Park:
+    """Wait request satisfied when its holder resumes the process.
+
+    Suspending on a park schedules nothing: the process records itself in
+    :attr:`proc`, and the component that handed out the request later
+    calls :meth:`Simulator._wake_parked` with the wake time.  This is how
+    a bus grant decision parks the requesting master straight on the
+    timed heap at burst completion, with no grant event in between.
+    :meth:`Process.kill` and :meth:`Process.restart` set
+    :attr:`cancelled`, so a late wake cannot reach a new wait.
+    """
+
+    __slots__ = ("proc", "cancelled")
+
+    def __init__(self):
+        self.proc: Optional["Process"] = None
+        self.cancelled = False
+
+
 class ProcessState(enum.Enum):
     READY = "ready"
     WAITING = "waiting"
@@ -105,7 +126,8 @@ class Process:
         self._waiting_on: tuple[Event, ...] = ()
         self._pending_all: set[Event] = set()
         self._timeout_event: Optional[Event] = None
-        #: Fast-path timed wait: the heap/delta entry that will wake us.
+        #: Fast-path timed wait: the heap/delta entry (or the
+        #: :class:`Park` request) that will wake us.
         self._timed_handle = None
         self.result: object = None
         self.exception: Optional[BaseException] = None
@@ -122,25 +144,30 @@ class Process:
         try:
             request = self.body.send(None)
         except StopIteration as stop:
-            self.result = stop.value
-            self.state = ProcessState.FINISHED
-            self._notify_done()
-            self.sim._process_finished(self)
+            self._finish(stop.value)
             return
         except Exception as exc:
-            self.exception = exc
-            self.state = ProcessState.FAILED
-            self._notify_done()
-            self.sim._process_failed(self, exc)
+            self._fail(exc)
             return
         try:
             self._suspend_on(request)
         except Exception as exc:
             self.body.close()
-            self.exception = exc
-            self.state = ProcessState.FAILED
-            self._notify_done()
-            self.sim._process_failed(self, exc)
+            self._fail(exc)
+
+    def _finish(self, result: object) -> None:
+        """The body returned *result*."""
+        self.result = result
+        self.state = ProcessState.FINISHED
+        self._notify_done()
+        self.sim._process_finished(self)
+
+    def _fail(self, exc: Exception) -> None:
+        """The body (or its wait request) raised *exc*."""
+        self.exception = exc
+        self.state = ProcessState.FAILED
+        self._notify_done()
+        self.sim._process_failed(self, exc)
 
     def _notify_done(self) -> None:
         """Fire ``done_event`` — skipped in fast mode when nobody waits.
@@ -179,6 +206,10 @@ class Process:
             self._waiting_on = (request,)
             request._subscribe(self)
             return
+        if isinstance(request, Park):
+            request.proc = self
+            self._timed_handle = request
+            return
         if isinstance(request, Timeout):
             event = request.event
             self._waiting_on = (event,)
@@ -205,7 +236,7 @@ class Process:
             return
         raise TypeError(
             f"process {self.name!r} yielded {request!r}; expected a SimTime, "
-            "an Event, AnyOf(...), or AllOf(...)"
+            "an Event, a Timeout, a Park, AnyOf(...), or AllOf(...)"
         )
 
     def _wake(self, fired: Event) -> None:
@@ -224,7 +255,6 @@ class Process:
             if event is not fired:
                 event._unsubscribe(self)
         self._waiting_on = ()
-        self._pending_all = set()
         self._timeout_event = None
         self._cancel_timed_wait()  # Timeout waits also park a timed entry
         self.state = ProcessState.READY

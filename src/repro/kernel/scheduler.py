@@ -22,13 +22,24 @@ overridable process-wide with :func:`set_default_fast`):
 
 * ``yield SimTime(...)`` normally builds a throwaway :class:`Event`, routes
   it through the notification machinery and tears it down again.  The fast
-  path instead parks the process directly on the timed heap
-  (:class:`_TimedWake`) — one heap entry, no Event, no subscribe /
+  path instead parks the process directly on the timed heap (a
+  :class:`_Wake` entry) — one heap entry, no Event, no subscribe /
   unsubscribe churn.
-* components can schedule plain callbacks into the delta-notification
-  phase (:meth:`Simulator._schedule_delta_call`), which lets bus arbiters
-  and Shared-Object schedulers run as end-of-delta callbacks instead of
-  always-on processes.
+* ``yield park`` (a :class:`~repro.kernel.process.Park` request) suspends
+  a process with nothing scheduled; the component holding the request
+  resumes it later with :meth:`Simulator._wake_parked` at a time of its
+  choosing.  The VTA bus grant uses this to park the requesting master
+  straight on the timed heap at burst completion.
+* components can post a reusable end-of-delta callback entry
+  (:meth:`Simulator._delta_call`) onto the delta queue, which lets bus
+  arbiters and Shared-Object schedulers run as end-of-delta callbacks
+  instead of always-on processes.
+* with no profiler and no telemetry attached, :meth:`Simulator.run` is one
+  flat loop with the evaluate / update / delta / timed phases and the
+  process step inlined (:meth:`Simulator._run_flat`).
+
+Timed-heap entries are ``(at_fs, seq, entry)`` tuples, so heap ordering
+compares integers in C rather than calling a Python ``__lt__``.
 
 Both representations produce identical simulated timestamps and delta
 counts for the visible behaviour; the reference (slow) mode is kept alive
@@ -44,7 +55,7 @@ from time import perf_counter
 from typing import Callable, Optional
 
 from .event import Event
-from .process import Process, ProcessBody, ProcessState
+from .process import Park, Process, ProcessBody, ProcessState, Timeout
 from .time import SimTime, ZERO_TIME
 from .. import telemetry as _telemetry
 
@@ -82,48 +93,8 @@ class ProcessError(SimulationError):
         self.cause = cause
 
 
-class _TimedEntry:
-    """Heap entry for a timed event notification (lazily cancellable)."""
-
-    __slots__ = ("at_fs", "seq", "event", "cancelled")
-
-    def __init__(self, at_fs: int, seq: int, event: Event):
-        self.at_fs = at_fs
-        self.seq = seq
-        self.event = event
-        self.cancelled = False
-
-    def fire(self) -> None:
-        self.event._fire()
-
-    def __lt__(self, other) -> bool:
-        if self.at_fs != other.at_fs:
-            return self.at_fs < other.at_fs
-        return self.seq < other.seq
-
-
-class _TimedWake:
-    """Heap entry waking one process directly (timed-wait fast path)."""
-
-    __slots__ = ("at_fs", "seq", "proc", "cancelled")
-
-    def __init__(self, at_fs: int, seq: int, proc: Process):
-        self.at_fs = at_fs
-        self.seq = seq
-        self.proc = proc
-        self.cancelled = False
-
-    def fire(self) -> None:
-        self.proc._wake_from_timer()
-
-    def __lt__(self, other) -> bool:
-        if self.at_fs != other.at_fs:
-            return self.at_fs < other.at_fs
-        return self.seq < other.seq
-
-
-class _DeltaEntry:
-    """Delta-queue entry firing an event (lazily cancellable)."""
+class _Notify:
+    """Delta-queue or timed-heap entry firing an event (lazily cancellable)."""
 
     __slots__ = ("event", "cancelled")
 
@@ -135,8 +106,8 @@ class _DeltaEntry:
         self.event._fire()
 
 
-class _DeltaWake:
-    """Delta-queue entry waking one process directly (zero-delay wait)."""
+class _Wake:
+    """Delta-queue or timed-heap entry waking one process directly."""
 
     __slots__ = ("proc", "cancelled")
 
@@ -149,16 +120,18 @@ class _DeltaWake:
 
 
 class _DeltaCall:
-    """Delta-queue entry running a plain callback (arbiter fast path)."""
+    """Reusable delta-queue entry running a component's callback.
 
-    __slots__ = ("fn", "cancelled")
+    The owner allocates one per decision site and appends it to
+    ``sim._delta_queue`` at most once per delta cycle; it is never
+    cancelled.
+    """
+
+    __slots__ = ("fire",)
+    cancelled = False
 
     def __init__(self, fn: Callable[[], None]):
-        self.fn = fn
-        self.cancelled = False
-
-    def fire(self) -> None:
-        self.fn()
+        self.fire = fn
 
 
 class Simulator:
@@ -169,6 +142,7 @@ class Simulator:
         self._now_cache: Optional[SimTime] = ZERO_TIME
         self._runnable: deque[Process] = deque()
         self._delta_queue: list = []
+        #: Heap of ``(at_fs, seq, entry)``; *seq* breaks ties in FIFO order.
         self._timed_queue: list = []
         self._update_queue: list[Callable[[], None]] = []
         self._seq = itertools.count()
@@ -177,9 +151,10 @@ class Simulator:
         #: Raised process errors abort the run; kept for post-mortem access.
         self.failure: Optional[ProcessError] = None
         self._running = False
-        #: Enables the kernel fast paths (direct timed process wakes and
-        #: delta callbacks).  Components such as the VTA channels consult
-        #: this flag to pick their own fast/reference scheduling.
+        #: Enables the kernel fast paths (direct timed process wakes,
+        #: parked waits, delta callbacks and the flat run loop).  Components
+        #: such as the VTA channels consult this flag to pick their own
+        #: fast/reference scheduling.
         self.fast = _DEFAULT_FAST if fast is None else bool(fast)
         #: When set (see :class:`~repro.kernel.tracing.SimProfiler`), every
         #: process step is timed and attributed.
@@ -241,18 +216,10 @@ class Simulator:
                 from_fs=self._now_fs, until_fs=limit_fs,
             )
         try:
-            while True:
-                self._evaluate_and_update()
-                if self.failure is not None:
-                    raise self.failure
-                next_at = self._peek_timed()
-                if next_at is None:
-                    break
-                if limit_fs is not None and next_at > limit_fs:
-                    self._now_fs = limit_fs
-                    break
-                self._now_fs = next_at
-                self._fire_due_timed()
+            if self.fast and self.profiler is None and self.telemetry is None:
+                self._run_flat(limit_fs)
+            else:
+                self._run_phased(limit_fs)
         except BaseException as error:
             if observing:
                 _telemetry.log_event(
@@ -275,41 +242,157 @@ class Simulator:
 
     # -- scheduler internals ---------------------------------------------------
 
-    def _evaluate_and_update(self) -> None:
-        """One or more delta cycles at the current time point."""
-        if self.profiler is not None or self.telemetry is not None:
-            self._evaluate_and_update_instrumented()
-            return
+    def _run_flat(self, limit_fs: Optional[int]) -> None:
+        """The fast, uninstrumented run loop.
+
+        Identical in order and delta count to :meth:`_run_phased`, with the
+        phases, the process step (:meth:`Process._step`) and the common
+        wait requests (:meth:`Process._suspend_on`) inlined; rarer requests
+        fall back to the process methods.
+        """
         runnable = self._runnable
+        popleft = runnable.popleft
+        make_runnable = runnable.append
+        timed = self._timed_queue
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        seq = self._seq
         ready = ProcessState.READY
-        while runnable or self._delta_queue or self._update_queue:
-            self.delta_count += 1
-            # Evaluate phase.
-            while runnable:
-                proc = runnable.popleft()
-                if proc.state is ready:
-                    proc._step()
-                    if self.failure is not None:
-                        return
-            # Update phase.
-            if self._update_queue:
-                updates, self._update_queue = self._update_queue, []
-                for update in updates:
-                    update()
-            # Delta-notification phase.
-            if self._delta_queue:
-                deltas, self._delta_queue = self._delta_queue, []
-                for entry in deltas:
-                    if not entry.cancelled:
-                        entry.fire()
+        waiting = ProcessState.WAITING
+        simtime = SimTime
+        event_type = Event
+        timeout_type = Timeout
+        while True:
+            # Delta cycles at the current time point.
+            while runnable or self._delta_queue or self._update_queue:
+                self.delta_count += 1
+                # Evaluate phase.
+                while runnable:
+                    proc = popleft()
+                    if proc.state is not ready:
+                        continue
+                    try:
+                        request = proc.body.send(None)
+                    except StopIteration as stop:
+                        proc._finish(stop.value)
+                        continue
+                    except Exception as exc:
+                        proc._fail(exc)
+                        break
+                    proc.state = waiting
+                    kind = type(request)
+                    if kind is simtime:
+                        delay_fs = request._fs
+                        entry = _Wake(proc)
+                        proc._timed_handle = entry
+                        if delay_fs:
+                            heappush(timed, (self._now_fs + delay_fs, next(seq), entry))
+                        else:
+                            self._delta_queue.append(entry)
+                    elif kind is event_type:
+                        proc._waiting_on = (request,)
+                        request._waiting.append(proc)
+                    elif isinstance(request, Park):
+                        request.proc = proc
+                        proc._timed_handle = request
+                    elif kind is timeout_type:
+                        event = request.event
+                        proc._waiting_on = (event,)
+                        event._waiting.append(proc)
+                        delay_fs = request.delay._fs
+                        entry = _Wake(proc)
+                        proc._timed_handle = entry
+                        if delay_fs:
+                            heappush(timed, (self._now_fs + delay_fs, next(seq), entry))
+                        else:
+                            self._delta_queue.append(entry)
+                    else:
+                        try:
+                            proc._suspend_on(request)
+                        except Exception as exc:
+                            proc.body.close()
+                            proc._fail(exc)
+                            break
+                if self.failure is not None:
+                    raise self.failure
+                # Update phase.
+                if self._update_queue:
+                    updates, self._update_queue = self._update_queue, []
+                    for update in updates:
+                        update()
+                # Delta-notification phase.
+                if self._delta_queue:
+                    deltas, self._delta_queue = self._delta_queue, []
+                    for entry in deltas:
+                        if entry.cancelled:
+                            continue
+                        if type(entry) is _Wake:
+                            proc = entry.proc
+                            if proc.state is waiting:
+                                proc._timed_handle = None
+                                if proc._waiting_on:
+                                    # A zero-delay Timeout expired.
+                                    for event in proc._waiting_on:
+                                        event._unsubscribe(proc)
+                                    proc._waiting_on = ()
+                                proc.state = ready
+                                make_runnable(proc)
+                        else:
+                            entry.fire()
+            # Timed phase: advance to the earliest live entry.
+            while timed and timed[0][2].cancelled:
+                heappop(timed)
+            if not timed:
+                return
+            now_fs = timed[0][0]
+            if limit_fs is not None and now_fs > limit_fs:
+                self._now_fs = limit_fs
+                return
+            self._now_fs = now_fs
+            while timed and timed[0][0] == now_fs:
+                entry = heappop(timed)[2]
+                if entry.cancelled:
+                    continue
+                if type(entry) is _Wake:
+                    proc = entry.proc
+                    if proc.state is waiting:
+                        proc._timed_handle = None
+                        if proc._waiting_on:
+                            # A Timeout wait expired: drop its subscription.
+                            for event in proc._waiting_on:
+                                event._unsubscribe(proc)
+                            proc._waiting_on = ()
+                        proc.state = ready
+                        make_runnable(proc)
+                else:
+                    entry.fire()
 
-    def _evaluate_and_update_instrumented(self) -> None:
-        """The evaluate loop with profiler timing and/or telemetry counts.
+    def _run_phased(self, limit_fs: Optional[int]) -> None:
+        """The reference run loop, one method per scheduler phase.
 
-        Kept separate from :meth:`_evaluate_and_update` so a disabled run
-        executes the bare loop with no per-step bookkeeping at all; the
-        step/delta totals flush into the metrics registry once per time
-        point, keeping the enabled overhead to one local int add per step.
+        Runs every reference-mode simulator and every run with a profiler
+        or telemetry attached.
+        """
+        while True:
+            self._evaluate_and_update()
+            if self.failure is not None:
+                raise self.failure
+            next_at = self._peek_timed()
+            if next_at is None:
+                return
+            if limit_fs is not None and next_at > limit_fs:
+                self._now_fs = limit_fs
+                return
+            self._now_fs = next_at
+            self._fire_due_timed()
+
+    def _evaluate_and_update(self) -> None:
+        """One or more delta cycles at the current time point.
+
+        Process steps are timed when a profiler is attached; the step and
+        delta totals flush into the telemetry registry (when one is bound)
+        once per time point, keeping the enabled overhead to one local int
+        add per step.
         """
         runnable = self._runnable
         ready = ProcessState.READY
@@ -361,31 +444,25 @@ class Simulator:
 
     def _peek_timed(self) -> Optional[int]:
         queue = self._timed_queue
-        while queue and queue[0].cancelled:
+        while queue and queue[0][2].cancelled:
             heapq.heappop(queue)
         if not queue:
             return None
-        return queue[0].at_fs
+        return queue[0][0]
 
     def _fire_due_timed(self) -> None:
         """Fire every entry due now — same-timestamp wakes are batched."""
         queue = self._timed_queue
         now_fs = self._now_fs
         pop = heapq.heappop
-        tel = self.telemetry
-        if tel is None:
-            while queue and (queue[0].cancelled or queue[0].at_fs == now_fs):
-                entry = pop(queue)
-                if not entry.cancelled:
-                    entry.fire()
-            return
         fired = 0
-        while queue and (queue[0].cancelled or queue[0].at_fs == now_fs):
-            entry = pop(queue)
+        while queue and queue[0][0] == now_fs:
+            entry = pop(queue)[2]
             if not entry.cancelled:
                 entry.fire()
                 fired += 1
-        if fired:
+        tel = self.telemetry
+        if tel is not None and fired:
             tel.metrics.count("kernel.timer_pops", fired)
 
     # -- hooks used by Event / Process / primitive channels ---------------------
@@ -393,39 +470,57 @@ class Simulator:
     def _trigger_now(self, event: Event) -> None:
         event._fire()
 
-    def _schedule_delta(self, event: Event) -> _DeltaEntry:
-        entry = _DeltaEntry(event)
+    def _schedule_delta(self, event: Event) -> _Notify:
+        entry = _Notify(event)
         self._delta_queue.append(entry)
         return entry
 
-    def _schedule_delta_wake(self, proc: Process) -> _DeltaWake:
+    def _schedule_delta_wake(self, proc: Process) -> _Wake:
         """Fast path: wake *proc* in the next delta cycle (zero-delay wait)."""
-        entry = _DeltaWake(proc)
+        entry = _Wake(proc)
         self._delta_queue.append(entry)
         return entry
 
-    def _schedule_delta_call(self, fn: Callable[[], None]) -> _DeltaCall:
-        """Run *fn* in this timestamp's next delta-notification phase.
+    def _delta_call(self, fn: Callable[[], None]) -> _DeltaCall:
+        """A reusable entry running *fn* in a delta-notification phase.
 
-        The callback runs exactly where an always-on arbiter process woken
-        by a delta-notified event would make its decision visible, so
-        event-driven arbiters built on this hook reproduce the reference
-        process-based timing without paying a process wake per decision.
+        The owner posts it with ``sim._delta_queue.append(entry)``, at most
+        once per delta cycle.  The callback then runs exactly where an
+        always-on arbiter process woken by a delta-notified event would
+        make its decision visible, so event-driven arbiters built on this
+        hook reproduce the reference process-based timing without paying
+        a process wake per decision.
         """
-        entry = _DeltaCall(fn)
-        self._delta_queue.append(entry)
+        return _DeltaCall(fn)
+
+    def _schedule_timed(self, event: Event, at_fs: int) -> _Notify:
+        entry = _Notify(event)
+        heapq.heappush(self._timed_queue, (at_fs, next(self._seq), entry))
         return entry
 
-    def _schedule_timed(self, event: Event, at_fs: int) -> _TimedEntry:
-        entry = _TimedEntry(at_fs, next(self._seq), event)
-        heapq.heappush(self._timed_queue, entry)
-        return entry
-
-    def _schedule_timed_wake(self, proc: Process, at_fs: int) -> _TimedWake:
+    def _schedule_timed_wake(self, proc: Process, at_fs: int) -> _Wake:
         """Fast path: park *proc* directly on the timed heap (no Event)."""
-        entry = _TimedWake(at_fs, next(self._seq), proc)
-        heapq.heappush(self._timed_queue, entry)
+        entry = _Wake(proc)
+        heapq.heappush(self._timed_queue, (at_fs, next(self._seq), entry))
         return entry
+
+    def _wake_parked(self, park: Park, at_fs: int) -> None:
+        """Resume the process parked on *park* at *at_fs*.
+
+        A wake at the current time lands in the next delta cycle, exactly
+        where a delta notification would wake an event waiter; a later
+        one goes straight onto the timed heap.  A park cancelled by
+        :meth:`Process.kill` or :meth:`Process.restart` is ignored.
+        """
+        if park.cancelled:
+            return
+        proc = park.proc
+        entry = _Wake(proc)
+        proc._timed_handle = entry
+        if at_fs == self._now_fs:
+            self._delta_queue.append(entry)
+        else:
+            heapq.heappush(self._timed_queue, (at_fs, next(self._seq), entry))
 
     def _make_runnable(self, proc: Process) -> None:
         self._runnable.append(proc)

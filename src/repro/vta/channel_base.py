@@ -15,21 +15,19 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from ..kernel import Event, SimTime, Simulator, ZERO_TIME
+from ..kernel import Event, Park, SimTime, Simulator
 from ..core.arbiter import ArbitrationPolicy, Fcfs, Request
 
 
 class MasterHandle:
     """Identity of one connected initiator."""
 
-    __slots__ = ("master_id", "name", "priority", "_grant_event")
+    __slots__ = ("master_id", "name", "priority")
 
     def __init__(self, master_id: int, name: str, priority: int):
         self.master_id = master_id
         self.name = name
         self.priority = priority
-        #: Cached grant event, reused across transports (fast mode only).
-        self._grant_event: Optional[Event] = None
 
     def __repr__(self) -> str:
         return f"MasterHandle({self.master_id}, {self.name!r})"
@@ -68,10 +66,15 @@ class ChannelStats:
         return f"ChannelStats(transactions={self.transactions}, words={self.words})"
 
 
-class _TransportRequest:
+class _TransportRequest(Park):
     """A queued transfer; carries the arbitration-request interface
     (``client_id``/``priority``/``arrival_fs``/``seq``) so policies can
-    rank it directly without a translation layer."""
+    rank it directly without a translation layer.
+
+    In fast mode the requesting process parks on the request itself and
+    the grant decision wakes it at burst completion; the reference path
+    waits on the :attr:`granted` event instead.
+    """
 
     __slots__ = (
         "master",
@@ -84,17 +87,19 @@ class _TransportRequest:
         "grant_fs",
     )
 
-    def __init__(self, sim: Simulator, master: MasterHandle, seq: int,
-                 granted: Optional[Event] = None):
+    def __init__(self, master: MasterHandle, seq: int, arrival_fs: int,
+                 words: int = 0, granted: Optional[Event] = None):
+        self.proc = None
+        self.cancelled = False
         self.master = master
-        self.granted = granted or Event(sim, f"bus_grant.{master.name}")
+        self.granted = granted
         self.client_id = master.master_id
         self.priority = master.priority
-        self.arrival_fs = sim._now_fs
+        self.arrival_fs = arrival_fs
         self.seq = seq
         #: Fast mode: burst size and grant timestamp, so the grant decision
         #: can schedule the completion wake analytically.
-        self.words = 0
+        self.words = words
         self.grant_fs = 0
 
 
@@ -143,6 +148,7 @@ class OsssChannel:
         #: within one evaluate phase still compete before anyone is granted.
         self._fast = bool(getattr(sim, "fast", False))
         self._decision_pending = False
+        self._decision = sim._delta_call(self._decide)
         #: words -> (occupancy, occupancy+arbitration).  Protocol parameters
         #: are fixed before traffic starts, so transfer times are pure in the
         #: word count and transactions of a given size repeat constantly.
@@ -209,26 +215,26 @@ class OsssChannel:
             # later in the *same* delta cycle must still be able to win the
             # arbitration, exactly as it would against the reference
             # arbiter process (which only wakes after the delta completes).
-            # The grant decision schedules this process's wake directly at
-            # the burst's *completion* time (grant + arbitration + setup +
-            # data beats), so the whole transaction costs one wake instead
-            # of a grant wake plus a completion wake.  Timestamps and
-            # statistics are identical to the reference chain; contention
-            # still bites because later requests queue on ``_pending``
-            # until the release below.
+            # The process parks on its request, and the grant decision
+            # wakes it directly at the burst's *completion* time (grant +
+            # arbitration + setup + data beats), so the whole transaction
+            # costs one wake instead of a grant wake plus a completion
+            # wake.  Timestamps and statistics match the reference chain;
+            # contention still bites because later requests queue on
+            # ``_pending`` until the release below.  One known exception:
+            # the completion wake is queued two delta cycles before the
+            # reference master queues its own, so when another process
+            # queues a wake for the same instant in between, the two run
+            # in the opposite order (pinned as an expected failure in
+            # ``tests/property/test_vta_substrate_parity.py``).
             sim = self.sim
-            # Reuse the master's grant event unless it is still in use
-            # (a master handle shared by concurrent processes).
-            granted = master._grant_event
-            if granted is None or granted._waiting:
-                granted = Event(sim, f"bus_grant.{master.name}")
-                master._grant_event = granted
-            request = _TransportRequest(sim, master, next(self._seq), granted)
-            request.words = words
-            self._pending.append(request)
-            self._schedule_decision()
             wait_start_fs = sim._now_fs
-            yield request.granted  # fires at completion, not at grant
+            request = _TransportRequest(master, next(self._seq), wait_start_fs, words)
+            self._pending.append(request)
+            if not self._decision_pending:
+                self._decision_pending = True
+                sim._delta_queue.append(self._decision)
+            yield request  # woken at completion, not at grant
             now_fs = sim._now_fs
             grant_fs = request.grant_fs
             stats = self.stats
@@ -250,7 +256,10 @@ class OsssChannel:
                 )
             return
         # Reference path, kept verbatim for differential testing.
-        request = _TransportRequest(self.sim, master, next(self._seq))
+        request = _TransportRequest(
+            master, next(self._seq), self.sim._now_fs,
+            granted=Event(self.sim, f"bus_grant.{master.name}"),
+        )
         self._pending.append(request)
         self._state_changed.notify(delta=True)
         wait_start_fs = self.sim._now_fs
@@ -294,31 +303,28 @@ class OsssChannel:
         Deferring to the delta-notification phase means every request posted
         during this evaluate phase competes in the same decision, exactly as
         they would all be visible to the reference arbiter process woken by
-        ``_state_changed``.
+        ``_state_changed``.  :meth:`transport` inlines this for each new
+        request.
         """
         if not self._decision_pending:
             self._decision_pending = True
-            self.sim._schedule_delta_call(self._decide)
+            self.sim._delta_queue.append(self._decision)
 
     def _decide(self) -> None:
-        self._decision_pending = False
-        self._try_grant()
+        """Fast mode: the end-of-delta grant decision.
 
-    def _try_grant(self) -> bool:
-        if self._busy or not self._pending:
-            return False
+        Decisions run at the end of the delta cycle, where the reference
+        arbiter's grant becomes visible too.  Rather than waking the
+        master now only for it to park again for the burst duration, the
+        decision wakes the parked master *at the burst's completion time*
+        — a zero total wakes it in the next delta at the same timestamp,
+        exactly like the reference grant.
+        """
+        self._decision_pending = False
         pending = self._pending
-        if not self._fast:
-            # Reference path, kept verbatim for differential testing: build
-            # explicit arbitration requests and map the choice back.
-            requests = {
-                id(req): Request(req.master.master_id, req.master.priority, req.arrival_fs, req.seq)
-                for req in pending
-            }
-            chosen_request = self.policy.select(list(requests.values()), self._last_master)
-            chosen = next(req for req in pending if requests[id(req)] is chosen_request)
-            pending.remove(chosen)
-        elif len(pending) == 1 and self.policy.stateless:
+        if self._busy or not pending:
+            return
+        if len(pending) == 1 and self.policy.stateless:
             # Any stateless policy picks the only eligible request.
             chosen = pending[0]
             pending.clear()
@@ -327,19 +333,28 @@ class OsssChannel:
             chosen = self.policy.select(pending, self._last_master)
             pending.remove(chosen)
         self._busy = True
+        self._last_master = chosen.client_id
+        sim = self.sim
+        now_fs = sim._now_fs
+        chosen.grant_fs = now_fs
+        sim._wake_parked(chosen, now_fs + self._times(chosen.words)[1]._fs)
+
+    def _try_grant(self) -> bool:
+        """Reference path, kept verbatim for differential testing: build
+        explicit arbitration requests and map the choice back."""
+        if self._busy or not self._pending:
+            return False
+        pending = self._pending
+        requests = {
+            id(req): Request(req.master.master_id, req.master.priority, req.arrival_fs, req.seq)
+            for req in pending
+        }
+        chosen_request = self.policy.select(list(requests.values()), self._last_master)
+        chosen = next(req for req in pending if requests[id(req)] is chosen_request)
+        pending.remove(chosen)
+        self._busy = True
         self._last_master = chosen.master.master_id
-        if self._fast:
-            # Decisions run at the end of the delta cycle, where the
-            # reference arbiter's grant becomes visible too.  Rather than
-            # waking the master now only for it to park again for the
-            # burst duration, the grant event is notified *at the burst's
-            # completion time* — zero total degenerates to a delta
-            # notification, waking the master in the next delta at the
-            # same timestamp, exactly like the reference grant.
-            chosen.grant_fs = self.sim._now_fs
-            chosen.granted.notify(self._times(chosen.words)[1])
-        else:
-            chosen.granted.notify(delta=True)
+        chosen.granted.notify(delta=True)
         return True
 
     # -- reporting -----------------------------------------------------------------

@@ -154,54 +154,6 @@ class RmiClient:
     def _transfer(self, words: int):
         """Move *words* over the channel, split into bus-sized transactions."""
         channel = self.channel
-        if channel.full_duplex and channel.sim.fast:
-            # Full-duplex media never arbitrate, so the chunks of one
-            # payload are back-to-back occupancy waits with no observable
-            # intermediate state (no grant, no contention, nothing reads
-            # the stream mid-burst).  Fast-forward the whole burst in a
-            # single timed wait; totals — timestamps, transactions, words,
-            # busy_fs — are identical to chunk-by-chunk transport.
-            stats = channel.stats
-            chunk_limit = self.chunk_words
-            if chunk_limit is None or words <= chunk_limit:
-                occupancy = channel._times(words)[0]
-                if occupancy._fs:
-                    yield occupancy
-                stats.transactions += 1
-                stats.words += words
-                stats.busy_fs += occupancy._fs
-                tel = channel.sim.telemetry
-                if tel is not None:
-                    end_fs = channel.sim._now_fs
-                    tel.complete(
-                        "bus", channel.name, self._master.name,
-                        end_fs - occupancy._fs, end_fs,
-                        {"master": self._master.name, "words": words,
-                         "wait_fs": 0},
-                    )
-                return
-            n_full, rem = divmod(words, chunk_limit)
-            total_fs = n_full * channel._times(chunk_limit)[0]._fs
-            if rem:
-                total_fs += channel._times(rem)[0]._fs
-            if total_fs:
-                yield SimTime.intern(total_fs)
-            stats.transactions += n_full + (1 if rem else 0)
-            stats.words += words
-            stats.busy_fs += total_fs
-            tel = channel.sim.telemetry
-            if tel is not None:
-                # One span for the whole fast-forwarded burst; its duration
-                # equals the summed chunk occupancy, so per-channel span
-                # totals still match ``ChannelStats.busy_fs`` exactly.
-                end_fs = channel.sim._now_fs
-                tel.complete(
-                    "bus", channel.name, self._master.name,
-                    end_fs - total_fs, end_fs,
-                    {"master": self._master.name, "words": words,
-                     "chunks": n_full + (1 if rem else 0), "wait_fs": 0},
-                )
-            return
         if self.chunk_words is None or words <= self.chunk_words:
             yield from channel.transport(self._master, words)
             return

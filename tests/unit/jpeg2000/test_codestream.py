@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.jpeg2000 import DecodeOptions, decode_codestream, encode_image, synthetic_image
 from repro.jpeg2000.codestream import (
+    EOC,
+    QCD,
     CodestreamError,
     CodingParameters,
     TilePart,
@@ -79,8 +82,38 @@ class TestValidation:
 
     def test_truncated_stream(self):
         data = write_codestream(params_lossless(), [TilePart(0, b"abcdef")])
-        with pytest.raises((CodestreamError, Exception)):
+        with pytest.raises(CodestreamError, match="truncated"):
             parse_codestream(data[:20])
+
+    @pytest.mark.parametrize("prefix", [b"", b"\xff", b"\xff\x4f\xff"])
+    def test_short_prefix_is_truncated(self, prefix):
+        with pytest.raises(CodestreamError, match="truncated"):
+            parse_codestream(prefix)
+
+    def test_empty_qcd_body_is_truncated(self):
+        data = write_codestream(params_lossless(), [])
+        qcd = data.index(QCD.to_bytes(2, "big"))
+        stream = data[:qcd] + QCD.to_bytes(2, "big") + b"\x00\x02" + EOC.to_bytes(2, "big")
+        with pytest.raises(CodestreamError, match="truncated"):
+            parse_codestream(stream)
+
+    @pytest.mark.parametrize("kernel", ["batched", "reference"])
+    def test_every_prefix_decodes_or_raises_codestream_error(self, kernel):
+        """No prefix of a 4-tile stream leaks a raw parser exception."""
+        image = synthetic_image(32, 32, 3, seed=5)
+        params = CodingParameters(
+            width=32, height=32, num_components=3,
+            tile_width=16, tile_height=16, num_levels=2, lossless=True,
+        )
+        data = encode_image(image, params)
+        options = DecodeOptions(kernel=kernel, workers=1)
+        for end in range(len(data) + 1):
+            try:
+                decoded = decode_codestream(data[:end], options)
+            except CodestreamError:
+                continue
+            assert end == len(data)
+            assert decoded == image
 
     def test_unknown_marker_rejected(self):
         data = bytearray(write_codestream(params_lossless(), []))

@@ -9,6 +9,7 @@ import pytest
 
 from repro.kernel import (
     AnyOf,
+    Park,
     SimProfiler,
     SimTime,
     Simulator,
@@ -133,6 +134,79 @@ class TestTimeout:
         sim.spawn(waiter(), "waiter")
         sim.run()
         assert observed == [0]
+
+
+class TestPark:
+    def test_holder_wakes_parked_process_at_chosen_time(self, sim):
+        park = Park()
+        observed = []
+
+        def parked():
+            yield park
+            observed.append(sim.now)
+
+        def holder():
+            yield ns(5)
+            sim._wake_parked(park, sim._now_fs + ns(10).femtoseconds)
+
+        sim.spawn(parked(), "parked")
+        sim.spawn(holder(), "holder")
+        sim.run()
+        assert observed == [ns(15)]
+
+    def test_wake_at_current_time_runs_next_delta(self, sim):
+        park = Park()
+        observed = []
+
+        def parked():
+            yield park
+            observed.append((sim.now, sim.delta_count))
+
+        def holder():
+            yield ns(5)
+            observed.append((sim.now, sim.delta_count))
+            sim._wake_parked(park, sim._now_fs)
+
+        sim.spawn(parked(), "parked")
+        sim.spawn(holder(), "holder")
+        sim.run()
+        (woke_at, woke_delta), (ran_at, ran_delta) = observed
+        assert ran_at == woke_at == ns(5)
+        assert ran_delta == woke_delta + 1
+
+    def test_kill_cancels_the_park(self, sim):
+        park = Park()
+
+        def parked():
+            yield park
+
+        proc = sim.spawn(parked(), "parked")
+        sim.run()
+        proc.kill()
+        sim._wake_parked(park, sim._now_fs + 1)
+        sim.run()
+        assert park.cancelled and proc.finished
+
+    def test_stale_wake_does_not_reach_a_restarted_body(self, sim):
+        park = Park()
+        gate = sim.event("gate")
+        observed = []
+
+        def body():
+            if proc.restarts == 0:
+                yield park
+            yield gate
+            observed.append(sim.now)
+
+        proc = sim.spawn_resettable(body, "resettable")
+        sim.run()
+        proc.restart()
+        sim.run()
+        sim._wake_parked(park, sim._now_fs + 1)
+        sim.run()
+        assert observed == []  # still waiting on the gate
+        gate.notify()
+        assert proc.state.value == "ready"
 
 
 class TestDefaultFastSwitch:
